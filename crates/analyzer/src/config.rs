@@ -36,6 +36,8 @@ impl Config {
                 "crates/core/src/serialize.rs",
                 "crates/tbon/src/delta.rs",
                 "crates/core/src/streaming.rs",
+                "crates/core/src/equivalence.rs",
+                "crates/core/src/daemon.rs",
             ]),
             word_math_modules: s(&[
                 "crates/core/src/taskset.rs",
@@ -43,6 +45,7 @@ impl Config {
                 "crates/core/src/serialize.rs",
                 "crates/tbon/src/packet.rs",
                 "crates/tbon/src/delta.rs",
+                "crates/core/src/equivalence.rs",
             ]),
             result_methods: s(&[
                 "send",

@@ -10,7 +10,7 @@
 use stackwalk::{FrameId, FrameTable};
 
 use crate::graph::{GlobalPrefixTree, PrefixTree};
-use crate::taskset::{format_rank_ranges, TaskSetOps};
+use crate::taskset::{format_rank_ranges, MemberIter, TaskSetOps};
 
 /// One behaviour class: a call path and the tasks that exhibit it.
 #[derive(Clone, Debug, PartialEq)]
@@ -55,23 +55,29 @@ impl EquivalenceClass {
 /// node, the class members are the tasks on that node's incoming edge that do not
 /// appear on any of its children's edges.  (Taking only leaves would mis-classify a
 /// task whose entire trace is a prefix of some other task's trace.)
+///
+/// The class of a node is computed with word-level set algebra,
+/// `tasks(node) AND NOT OR(tasks(children))`, one AND-NOT per packed word of
+/// each child, so classification costs O(nodes × words) and never touches a task
+/// one by one.  Only non-empty classes are expanded into rank lists.
 pub fn equivalence_classes<S: TaskSetOps>(tree: &PrefixTree<S>) -> Vec<EquivalenceClass> {
     let mut classes: Vec<EquivalenceClass> = Vec::new();
+    // The node's words with every child's words cleared; reused across nodes.
+    let mut terminal: Vec<u64> = Vec::new();
     for (node, _, _) in tree.iter_nodes() {
-        let deeper: std::collections::HashSet<u64> = tree
-            .children(node)
-            .iter()
-            .flat_map(|&c| tree.tasks(c).iter_members())
-            .collect();
-        let terminal: Vec<u64> = tree
-            .tasks(node)
-            .iter_members()
-            .filter(|t| !deeper.contains(t))
-            .collect();
-        if !terminal.is_empty() {
+        terminal.clear();
+        terminal.extend_from_slice(tree.tasks(node).words());
+        for &child in tree.children(node) {
+            // Zipped, not indexed: a child set of another width can neither
+            // panic here nor clear a position outside the node's words.
+            for (word, &deeper) in terminal.iter_mut().zip(tree.tasks(child).words()) {
+                *word &= !deeper;
+            }
+        }
+        if terminal.iter().any(|&word| word != 0) {
             classes.push(EquivalenceClass {
                 path: tree.path_to(node),
-                tasks: terminal,
+                tasks: MemberIter::new(&terminal).collect(),
             });
         }
     }

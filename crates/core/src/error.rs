@@ -88,6 +88,17 @@ pub enum StatError {
         /// How many endpoints of that kind the topology actually has.
         width: usize,
     },
+    /// A session was configured in a way that cannot produce a diagnosis — e.g.
+    /// zero samples per task, which would gather nothing and return a silently
+    /// empty result.
+    InvalidConfig {
+        /// The builder setting at fault (`"samples_per_task"`).
+        setting: &'static str,
+        /// The value it was given.
+        value: u64,
+        /// What the setting requires.
+        requirement: &'static str,
+    },
 }
 
 impl fmt::Display for StatError {
@@ -120,6 +131,14 @@ impl fmt::Display for StatError {
                 "injected {kind} fault addresses index {index} from the end, but the \
                  topology only has {width} such endpoints"
             ),
+            StatError::InvalidConfig {
+                setting,
+                value,
+                requirement,
+            } => write!(
+                f,
+                "session setting `{setting}` = {value} is invalid: {requirement}"
+            ),
         }
     }
 }
@@ -131,7 +150,8 @@ impl std::error::Error for StatError {
             StatError::Decode { source, .. } => Some(source),
             StatError::RankMapMismatch { .. }
             | StatError::SessionNotViable { .. }
-            | StatError::FaultOutOfRange { .. } => None,
+            | StatError::FaultOutOfRange { .. }
+            | StatError::InvalidConfig { .. } => None,
         }
     }
 }
@@ -170,6 +190,19 @@ mod tests {
         assert!(text.contains("comm-process"));
         assert!(text.contains('9'));
         assert!(text.contains('4'));
+        assert!(std::error::Error::source(&err).is_none());
+    }
+
+    #[test]
+    fn invalid_config_names_the_setting_and_requirement() {
+        let err = StatError::InvalidConfig {
+            setting: "samples_per_task",
+            value: 0,
+            requirement: "at least one sample per task",
+        };
+        let text = err.to_string();
+        assert!(text.contains("samples_per_task"));
+        assert!(text.contains("at least one sample"));
         assert!(std::error::Error::source(&err).is_none());
     }
 

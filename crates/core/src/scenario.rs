@@ -34,7 +34,7 @@ use tbon::fault::{FaultTracker, FilterFault, FilterFaultKind};
 use tbon::packet::EndpointId;
 use tbon::topology::Topology;
 
-use crate::daemon::{DaemonContribution, StatDaemon};
+use crate::daemon::StatDaemon;
 use crate::error::StatError;
 use crate::frontend::{GatherResult, Representation};
 use crate::session::{Session, SessionReport};
@@ -197,11 +197,12 @@ pub fn run_scenario_in(
     let dict = stackwalk::FrameDictionary::negotiate(app.frame_hints());
     let strategy = representation.strategy();
     let degraded_topology = Topology::build(degraded_spec.clone());
-    let contributions: Vec<DaemonContribution> = surviving
+    let jobs: Vec<(&StatDaemon, EndpointId)> = surviving
         .iter()
-        .zip(degraded_topology.backends())
-        .map(|(&idx, &leaf)| strategy.contribute(&daemons[idx], app, samples_per_task, leaf, &dict))
+        .filter_map(|&idx| daemons.get(idx))
+        .zip(degraded_topology.backends().iter().copied())
         .collect();
+    let contributions = strategy.contribute_all(&jobs, app, samples_per_task, &dict);
 
     // Mid-tree faults hit the *degraded* tree: the corrupted comm process is
     // one that survived the pruning and still merges its (reduced) subtree.

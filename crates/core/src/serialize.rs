@@ -63,17 +63,12 @@ pub const MAX_WIRE_WIDTH: u64 = 1 << 28;
 pub trait WireTaskSet: TaskSetOps {
     /// Representation tag stored in the header.
     const TAG: u8;
-    /// The packed bitmap words.
-    fn wire_words(&self) -> &[u64];
     /// Rebuild from packed words.
     fn from_wire_words(width: u64, words: Vec<u64>) -> Self;
 }
 
 impl WireTaskSet for DenseBitVector {
     const TAG: u8 = 0;
-    fn wire_words(&self) -> &[u64] {
-        self.words()
-    }
     fn from_wire_words(width: u64, words: Vec<u64>) -> Self {
         DenseBitVector::from_words(width, words)
     }
@@ -81,9 +76,6 @@ impl WireTaskSet for DenseBitVector {
 
 impl WireTaskSet for SubtreeTaskList {
     const TAG: u8 = 1;
-    fn wire_words(&self) -> &[u64] {
-        self.words()
-    }
     fn from_wire_words(width: u64, words: Vec<u64>) -> Self {
         SubtreeTaskList::from_words(width, words)
     }
@@ -486,7 +478,7 @@ fn run_kind(word: u64, full: u64) -> u64 {
 }
 
 fn write_task_set<S: WireTaskSet>(sink: &mut impl WireSink, set: &S, width: u64) {
-    let words = set.wire_words();
+    let words = set.words();
     if S::TAG == DenseBitVector::TAG {
         // Dense sets stay proportional to the job: one varint per word, so the
         // empty words Section V complains about cost one byte each instead of
@@ -886,7 +878,7 @@ pub fn encode_tree_v1<S: WireTaskSet>(
     // stat-analyzer: allow(truncating-cast) — node counts are far below u32::MAX for any encodable tree
     out.extend_from_slice(&(tree.node_count() as u32).to_le_bytes());
     let encode_set = |out: &mut Vec<u8>, set: &S| {
-        for word in set.wire_words() {
+        for word in set.words() {
             out.extend_from_slice(&word.to_le_bytes());
         }
     };

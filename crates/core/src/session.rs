@@ -29,6 +29,7 @@ use tbon::cost::ReductionCostModel;
 use tbon::fault::{CorruptingFilter, FilterFault};
 use tbon::filter::Filter;
 use tbon::network::{ChannelInput, InProcessTbon};
+use tbon::packet::EndpointId;
 use tbon::planner::TopologyPlanner;
 use tbon::topology::{Topology, TreeShape};
 
@@ -46,10 +47,12 @@ use crate::serialize::encode_dictionary;
 /// how a [`SessionReport`] exposes that.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseTimings {
-    /// Gathering stack traces from the application tasks (summed over daemons, all
-    /// executed in this process).
+    /// Gathering stack traces from the application tasks, summed over daemons.
+    /// The daemons run concurrently on every core, so this is summed work, not
+    /// the wall time the phase took.
     pub sample: Duration,
-    /// Building and serialising the daemon-local prefix trees (summed over daemons).
+    /// Building and serialising the daemon-local prefix trees, summed over
+    /// daemons — summed work, like [`Self::sample`].
     pub local_merge: Duration,
     /// The single multi-channel TBON reduction walk.
     pub reduce: Duration,
@@ -60,7 +63,9 @@ pub struct PhaseTimings {
 }
 
 impl PhaseTimings {
-    /// Total wall-clock time across every phase.
+    /// Sum of every phase.  `sample` and `local_merge` are summed over daemons
+    /// that ran concurrently, so this is the pipeline's total work; it exceeds
+    /// the session's wall time whenever the host has more than one core.
     pub fn total(&self) -> Duration {
         self.sample + self.local_merge + self.reduce + self.remap + self.classify
     }
@@ -269,6 +274,7 @@ impl Session {
     /// the daemon-local trees, carry all channels up the overlay in one reduction
     /// walk, remap (if the representation needs it) and classify.
     pub fn attach(&self, app: &dyn Application) -> Result<SessionReport, StatError> {
+        self.check_samples()?;
         let tasks = app.num_tasks();
         let spec = self.topology_for(tasks);
         let topology = Topology::build(spec.clone());
@@ -284,13 +290,11 @@ impl Session {
             InProcessTbon::new(topology.clone()).broadcast_link_bytes(dictionary_payload);
 
         let daemons = StatDaemon::partition(tasks, spec.backends());
-        let contributions: Vec<DaemonContribution> = daemons
+        let jobs: Vec<(&StatDaemon, EndpointId)> = daemons
             .iter()
-            .zip(topology.backends())
-            .map(|(daemon, &leaf)| {
-                strategy.contribute(daemon, app, self.samples_per_task, leaf, &dict)
-            })
+            .zip(topology.backends().iter().copied())
             .collect();
+        let contributions = strategy.contribute_all(&jobs, app, self.samples_per_task, &dict);
 
         let traces_gathered = contributions.iter().map(|c| c.traces_gathered).sum();
         let sample: Duration = contributions.iter().map(|c| c.sample_wall).sum();
@@ -330,6 +334,19 @@ impl Session {
             mean_daemon_packet_bytes,
             dictionary_bytes,
         })
+    }
+
+    /// A session that samples nothing returns no classes; refuse it up front
+    /// rather than report a silently empty diagnosis.
+    pub(crate) fn check_samples(&self) -> Result<(), StatError> {
+        if self.samples_per_task == 0 {
+            return Err(StatError::InvalidConfig {
+                setting: "samples_per_task",
+                value: 0,
+                requirement: "at least one stack-trace sample per task",
+            });
+        }
+        Ok(())
     }
 
     /// Merge already-gathered daemon contributions (one per topology leaf, in
@@ -601,7 +618,7 @@ impl PhaseEstimator {
 mod tests {
     use super::*;
     use crate::error::MergeChannel;
-    use crate::taskset::TaskSetOps;
+    use crate::taskset::{SubtreeTaskList, TaskSetOps};
     use appsim::{FrameVocabulary, RingHangApp};
     use machine::cluster::BglMode;
     use tbon::network::TbonError;
@@ -714,11 +731,7 @@ mod tests {
         let mut contributions: Vec<DaemonContribution> = daemons
             .iter()
             .zip(topology.backends())
-            .map(|(d, &leaf)| {
-                Representation::HierarchicalTaskList
-                    .strategy()
-                    .contribute(d, &app, 1, leaf, &dict)
-            })
+            .map(|(d, &leaf)| d.contribute::<SubtreeTaskList>(&app, 1, leaf, &dict))
             .collect();
         contributions.pop();
         let err = session.merge(contributions, 64, &dict).unwrap_err();
@@ -747,9 +760,7 @@ mod tests {
             .iter()
             .zip(topology.backends())
             .map(|(d, &leaf)| {
-                let mut c = Representation::HierarchicalTaskList
-                    .strategy()
-                    .contribute(d, app, 1, leaf, &dict);
+                let mut c = d.contribute::<SubtreeTaskList>(app, 1, leaf, &dict);
                 corrupt(&mut c);
                 c
             })
@@ -851,11 +862,7 @@ mod tests {
             .iter()
             .zip(full_topology.backends())
             .take(4)
-            .map(|(d, &leaf)| {
-                Representation::HierarchicalTaskList
-                    .strategy()
-                    .contribute(d, &app, 2, leaf, &dict)
-            })
+            .map(|(d, &leaf)| d.contribute::<SubtreeTaskList>(&app, 2, leaf, &dict))
             .collect();
         let session = Session::builder(Cluster::test_cluster(8, 8))
             .topology(TreeShape::two_deep(4, 2))

@@ -22,7 +22,7 @@ use tbon::filter::Filter;
 use tbon::network::ReductionOutcome;
 use tbon::packet::EndpointId;
 
-use crate::daemon::{DaemonContribution, StatDaemon};
+use crate::daemon::{contribute_all, DaemonContribution, StatDaemon};
 use crate::error::{MergeChannel, StatError};
 use crate::filter::StatMergeFilter;
 use crate::frontend::Representation;
@@ -57,16 +57,16 @@ pub trait RepresentationStrategy: sealed::Sealed + Send + Sync {
     /// The enum tag this strategy implements.
     fn representation(&self) -> Representation;
 
-    /// Run one daemon's gather → local merge → serialise cycle against the
-    /// session's negotiated frame dictionary.
-    fn contribute(
+    /// Run every daemon's gather → local merge → serialise cycle against the
+    /// session's negotiated frame dictionary, on every core of the host: one
+    /// contribution per `(daemon, leaf)` pair, in the order given.
+    fn contribute_all(
         &self,
-        daemon: &StatDaemon,
+        daemons: &[(&StatDaemon, EndpointId)],
         app: &dyn Application,
         samples_per_task: u32,
-        leaf_endpoint: EndpointId,
         dict: &FrameDictionary,
-    ) -> DaemonContribution;
+    ) -> Vec<DaemonContribution>;
 
     /// The in-network merge filter for the two tree channels.
     fn merge_filter(&self) -> Box<dyn Filter>;
@@ -129,15 +129,14 @@ impl RepresentationStrategy for GlobalBitVectorStrategy {
         Representation::GlobalBitVector
     }
 
-    fn contribute(
+    fn contribute_all(
         &self,
-        daemon: &StatDaemon,
+        daemons: &[(&StatDaemon, EndpointId)],
         app: &dyn Application,
         samples_per_task: u32,
-        leaf_endpoint: EndpointId,
         dict: &FrameDictionary,
-    ) -> DaemonContribution {
-        daemon.contribute::<DenseBitVector>(app, samples_per_task, leaf_endpoint, dict)
+    ) -> Vec<DaemonContribution> {
+        contribute_all::<DenseBitVector>(daemons, app, samples_per_task, dict)
     }
 
     fn merge_filter(&self) -> Box<dyn Filter> {
@@ -177,15 +176,14 @@ impl RepresentationStrategy for HierarchicalTaskListStrategy {
         Representation::HierarchicalTaskList
     }
 
-    fn contribute(
+    fn contribute_all(
         &self,
-        daemon: &StatDaemon,
+        daemons: &[(&StatDaemon, EndpointId)],
         app: &dyn Application,
         samples_per_task: u32,
-        leaf_endpoint: EndpointId,
         dict: &FrameDictionary,
-    ) -> DaemonContribution {
-        daemon.contribute::<SubtreeTaskList>(app, samples_per_task, leaf_endpoint, dict)
+    ) -> Vec<DaemonContribution> {
+        contribute_all::<SubtreeTaskList>(daemons, app, samples_per_task, dict)
     }
 
     fn merge_filter(&self) -> Box<dyn Filter> {

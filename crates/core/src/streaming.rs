@@ -45,10 +45,10 @@ use stackwalk::{FrameDictionary, FrameTable};
 use tbon::delta::{IncrementalTbon, ResidentState, StateFactory};
 use tbon::fault::FaultTracker;
 use tbon::filter::Filter;
-use tbon::packet::{Packet, PacketTag};
+use tbon::packet::{EndpointId, Packet, PacketTag};
 use tbon::topology::{Topology, TreeShape};
 
-use crate::daemon::{DaemonContribution, StatDaemon};
+use crate::daemon::{on_every_core, DaemonContribution, StatDaemon, Turn};
 use crate::error::StatError;
 use crate::frontend::Representation;
 use crate::graph::PrefixTree;
@@ -164,6 +164,63 @@ struct DaemonStream<S: WireTaskSet> {
     cum_3d: PrefixTree<S>,
 }
 
+/// What one daemon produced in one wave.
+struct DaemonWave {
+    contribution: DaemonContribution,
+    delta: Packet,
+    /// Encoded size of the daemon's cumulative 3D tree after the wave.
+    full_packet_bytes: u64,
+}
+
+impl<S: WireTaskSet> DaemonStream<S> {
+    /// One daemon's share of a wave: sample at the global sample clock, build
+    /// and encode the wave trees, and fold the wave into the cumulative tree.
+    fn gather_wave(
+        &mut self,
+        app: &dyn Application,
+        base: u32,
+        samples: u32,
+        leaf: EndpointId,
+        dict: &FrameDictionary,
+        turn: &Turn<'_>,
+    ) -> DaemonWave {
+        let sample_start = Instant::now();
+        let gathered =
+            gather_samples_for_ranks_from(app, &self.daemon.ranks, base, samples, &mut self.table);
+        let sample_wall = sample_start.elapsed();
+        let traces: u64 = gathered.iter().map(|t| t.sample_count() as u64).sum();
+
+        let merge_start = Instant::now();
+        let (wave_2d, wave_3d) = self.daemon.build_trees::<S>(&gathered);
+        drop(gathered);
+        turn.before_encoding(&self.table, dict);
+        let bytes_2d = encode_tree(&wave_2d, &self.table, dict);
+        let bytes_3d = encode_tree(&wave_3d, &self.table, dict);
+        let delta = wave_3d.delta_from(&self.cum_3d);
+        self.cum_3d.merge_aligned(wave_3d);
+        let delta_payload = encode_tree(&delta, &self.table, dict);
+        let local_merge_wall = merge_start.elapsed();
+
+        DaemonWave {
+            contribution: DaemonContribution {
+                daemon_id: self.daemon.id,
+                tree_2d: Packet::new(PacketTag::Merged2d, leaf, bytes_2d),
+                tree_3d: Packet::new(PacketTag::Merged3d, leaf, bytes_3d),
+                rank_map: Packet::new(
+                    PacketTag::RankMap,
+                    leaf,
+                    encode_rank_map(&self.daemon.ranks),
+                ),
+                traces_gathered: traces,
+                sample_wall,
+                local_merge_wall,
+            },
+            delta: Packet::new(PacketTag::TreeDelta, leaf, delta_payload),
+            full_packet_bytes: encoded_tree_size(&self.cum_3d, &self.table, dict) as u64,
+        }
+    }
+}
+
 /// Per-wave daemon-side accounting, summed over survivors.
 #[derive(Default)]
 struct WaveStats {
@@ -254,7 +311,8 @@ impl<S: WireTaskSet> StreamCore<S> {
     /// the full-packet channels, diff the wave's 3D tree against the cumulative
     /// local tree and fold the wave in.  Every survivor always emits a delta —
     /// a quiescent daemon ships its root-only empty tree — which keeps
-    /// hierarchical domain offsets stable at every merge above it.
+    /// hierarchical domain offsets stable at every merge above it.  The daemons
+    /// run on every core; results come back in backend order.
     fn gather_wave(
         &mut self,
         app: &dyn Application,
@@ -263,65 +321,34 @@ impl<S: WireTaskSet> StreamCore<S> {
         topology: &Topology,
         needs_rank_map: bool,
     ) -> (Vec<DaemonContribution>, Vec<Packet>, u64, WaveStats) {
-        let mut contributions = Vec::new();
-        let mut deltas = Vec::new();
-        let mut traces_total = 0u64;
-        let mut stats = WaveStats::default();
-        for (stream, &leaf) in self
+        let dict = &self.dict;
+        let mut jobs: Vec<(&mut DaemonStream<S>, EndpointId)> = self
             .streams
             .iter_mut()
             .flatten()
-            .zip(topology.backends().iter())
-        {
-            let sample_start = Instant::now();
-            let gathered = gather_samples_for_ranks_from(
-                app,
-                &stream.daemon.ranks,
-                base,
-                samples,
-                &mut stream.table,
-            );
-            let sample_wall = sample_start.elapsed();
-            let traces: u64 = gathered.iter().map(|t| t.sample_count() as u64).sum();
-            traces_total += traces;
+            .zip(topology.backends().iter().copied())
+            .collect();
+        let waves = on_every_core(&mut jobs, |(stream, leaf), turn| {
+            stream.gather_wave(app, base, samples, *leaf, dict, turn)
+        });
 
-            let merge_start = Instant::now();
-            let (wave_2d, wave_3d) = stream.daemon.build_trees::<S>(&gathered);
-            let bytes_2d = encode_tree(&wave_2d, &stream.table, &self.dict);
-            let bytes_3d = encode_tree(&wave_3d, &stream.table, &self.dict);
-            let delta = wave_3d.delta_from(&stream.cum_3d);
-            stream.cum_3d.merge_aligned(wave_3d);
-            let delta_payload = encode_tree(&delta, &stream.table, &self.dict);
-            let local_merge_wall = merge_start.elapsed();
-
-            let tree_2d = Packet::new(PacketTag::Merged2d, leaf, bytes_2d);
-            let tree_3d = Packet::new(PacketTag::Merged3d, leaf, bytes_3d);
-            let rank_map = Packet::new(
-                PacketTag::RankMap,
-                leaf,
-                encode_rank_map(&stream.daemon.ranks),
-            );
-            stats.packet_bytes += (tree_2d.size_bytes() + tree_3d.size_bytes()) as u64;
+        let mut contributions = Vec::with_capacity(waves.len());
+        let mut deltas = Vec::with_capacity(waves.len());
+        let mut traces_total = 0u64;
+        let mut stats = WaveStats::default();
+        for wave in waves {
+            let c = &wave.contribution;
+            traces_total += c.traces_gathered;
+            stats.packet_bytes += (c.tree_2d.size_bytes() + c.tree_3d.size_bytes()) as u64;
             if needs_rank_map {
-                stats.packet_bytes += rank_map.size_bytes() as u64;
+                stats.packet_bytes += c.rank_map.size_bytes() as u64;
             }
-            let delta_packet = Packet::new(PacketTag::TreeDelta, leaf, delta_payload);
-            stats.delta_bytes += delta_packet.size_bytes() as u64;
-            stats.full_packet_bytes +=
-                encoded_tree_size(&stream.cum_3d, &stream.table, &self.dict) as u64;
-            stats.sample += sample_wall;
-            stats.local_merge += local_merge_wall;
-
-            contributions.push(DaemonContribution {
-                daemon_id: stream.daemon.id,
-                tree_2d,
-                tree_3d,
-                rank_map,
-                traces_gathered: traces,
-                sample_wall,
-                local_merge_wall,
-            });
-            deltas.push(delta_packet);
+            stats.delta_bytes += wave.delta.size_bytes() as u64;
+            stats.full_packet_bytes += wave.full_packet_bytes;
+            stats.sample += c.sample_wall;
+            stats.local_merge += c.local_merge_wall;
+            contributions.push(wave.contribution);
+            deltas.push(wave.delta);
         }
         (contributions, deltas, traces_total, stats)
     }
@@ -445,6 +472,7 @@ impl StreamingBuilder {
     /// the source's job size (streaming jobs do not resize); waves are then
     /// driven explicitly with [`StreamingSession::advance`].
     pub fn open(self, source: Box<dyn WaveSource>) -> Result<StreamingSession, StatError> {
+        self.session.check_samples()?;
         let tasks = source.num_tasks();
         let spec = self.session.topology_for(tasks);
         let topology = Topology::build(spec.clone());
@@ -869,6 +897,26 @@ mod tests {
             matches!(err, StatError::SessionNotViable { .. }),
             "expected SessionNotViable, got {err:?}"
         );
+    }
+
+    #[test]
+    fn wave_contributions_come_back_in_backend_order() {
+        let app = appsim::RingHangApp::new(256, FrameVocabulary::Linux);
+        let topology = Topology::build(TreeShape::two_deep(16, 4));
+        let dict = FrameDictionary::negotiate(app.frame_hints());
+        let mut core: StreamCore<SubtreeTaskList> =
+            StreamCore::new(StatDaemon::partition(256, 16), &topology, dict);
+        for wave in 0..2 {
+            let (contributions, deltas, traces, _) =
+                core.gather_wave(&app, wave * 2, 2, &topology, true);
+            let ids: Vec<u32> = contributions.iter().map(|c| c.daemon_id).collect();
+            assert_eq!(ids, (0..16).collect::<Vec<u32>>(), "wave {wave}");
+            let leaves: Vec<EndpointId> = contributions.iter().map(|c| c.tree_3d.source).collect();
+            assert_eq!(leaves, topology.backends());
+            let delta_leaves: Vec<EndpointId> = deltas.iter().map(|d| d.source).collect();
+            assert_eq!(delta_leaves, topology.backends());
+            assert_eq!(traces, 256 * 2);
+        }
     }
 
     #[test]

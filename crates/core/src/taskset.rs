@@ -34,7 +34,7 @@
 use std::fmt;
 
 /// Operations a task-set representation must support for prefix-tree merging.
-pub trait TaskSetOps: Clone + fmt::Debug {
+pub trait TaskSetOps: Clone + fmt::Debug + Send + Sync {
     /// An empty set over a domain of `width` positions.
     fn empty(width: u64) -> Self;
 
@@ -57,6 +57,10 @@ pub trait TaskSetOps: Clone + fmt::Debug {
 
     /// Whether a position is a member.
     fn contains(&self, index: u64) -> bool;
+
+    /// The packed member words: bit `b` of word `w` is position `64 * w + b`.
+    /// Set algebra across sets (classify, serialisation) works on these.
+    fn words(&self) -> &[u64];
 
     /// Members in ascending order, without allocating.
     ///
@@ -112,7 +116,8 @@ pub struct MemberIter<'a> {
 }
 
 impl<'a> MemberIter<'a> {
-    fn new(words: &'a [u64]) -> Self {
+    /// Members of a raw packed-word slice (same layout as [`TaskSetOps::words`]).
+    pub(crate) fn new(words: &'a [u64]) -> Self {
         MemberIter {
             words,
             word_idx: 0,
@@ -227,11 +232,6 @@ pub struct DenseBitVector {
 }
 
 impl DenseBitVector {
-    /// Direct access to the packed words (used by serialisation).
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
     /// Reconstruct from packed words (used by deserialisation).
     ///
     /// Stray bits at or above `width` in the last word are masked off and a word
@@ -251,6 +251,10 @@ impl DenseBitVector {
 }
 
 impl TaskSetOps for DenseBitVector {
+    fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     fn empty(width: u64) -> Self {
         DenseBitVector {
             width,
@@ -356,11 +360,6 @@ pub struct SubtreeTaskList {
 }
 
 impl SubtreeTaskList {
-    /// Direct access to the packed words (used by serialisation).
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
     /// Reconstruct from packed words (used by deserialisation).
     ///
     /// Stray bits at or above `width` in the last word are masked off and a word
@@ -434,6 +433,10 @@ impl SubtreeTaskList {
 }
 
 impl TaskSetOps for SubtreeTaskList {
+    fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     fn empty(width: u64) -> Self {
         SubtreeTaskList {
             width,

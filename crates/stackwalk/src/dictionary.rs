@@ -89,6 +89,13 @@ impl FrameDictionary {
         self.lock().index.get(name).copied()
     }
 
+    /// Whether every name already has an id, checked under one lock: encoding
+    /// a tree over only these names interns nothing new.
+    pub fn knows_all<'a>(&self, names: impl IntoIterator<Item = &'a str>) -> bool {
+        let inner = self.lock();
+        names.into_iter().all(|name| inner.index.contains_key(name))
+    }
+
     /// The name behind a session-global id, if the dictionary has seen it.
     pub fn name(&self, id: u32) -> Option<String> {
         self.lock().names.get(usize::try_from(id).ok()?).cloned()
@@ -162,6 +169,16 @@ mod tests {
         assert_eq!(dict.intern("do_SendOrStall"), late);
         assert_eq!(dict.base_len(), 2);
         assert_eq!(dict.name(late).as_deref(), Some("do_SendOrStall"));
+    }
+
+    #[test]
+    fn knows_all_checks_without_interning() {
+        let dict = FrameDictionary::negotiate(["_start", "main"]);
+        assert!(dict.knows_all(["main", "_start"]));
+        assert!(!dict.knows_all(["main", "poll_step"]));
+        assert_eq!(dict.len(), 2, "the check interns nothing");
+        dict.intern("poll_step");
+        assert!(dict.knows_all(["main", "poll_step"]));
     }
 
     #[test]

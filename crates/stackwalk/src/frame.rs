@@ -55,6 +55,11 @@ impl FrameTable {
         self.index.get(name).copied()
     }
 
+    /// Every interned name, in id order.
+    pub fn names(&self) -> impl Iterator<Item = &str> + '_ {
+        self.names.iter().map(String::as_str)
+    }
+
     /// Number of distinct interned names.
     pub fn len(&self) -> usize {
         self.names.len()

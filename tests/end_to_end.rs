@@ -298,3 +298,128 @@ fn threading_projection_is_consistent_with_real_data_growth() {
     assert!(projected[1].sampling > projected[0].sampling);
     assert!(projected[1].merge >= projected[0].merge);
 }
+
+/// Every daemon's contribution built one by one, in backend order, as a
+/// single-threaded run of the daemons would produce it.
+fn serial_contributions(
+    session: &Session,
+    app: &dyn appsim::Application,
+    dict: &FrameDictionary,
+) -> Vec<DaemonContribution> {
+    let tasks = app.num_tasks();
+    let spec = session.topology_for(tasks);
+    let topology = tbon::topology::Topology::build(spec.clone());
+    StatDaemon::partition(tasks, spec.backends())
+        .iter()
+        .zip(topology.backends())
+        .map(|(daemon, &leaf)| {
+            let samples = session.samples_per_task();
+            match session.representation() {
+                Representation::GlobalBitVector => {
+                    daemon.contribute::<DenseBitVector>(app, samples, leaf, dict)
+                }
+                Representation::HierarchicalTaskList => {
+                    daemon.contribute::<SubtreeTaskList>(app, samples, leaf, dict)
+                }
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn concurrent_daemons_match_a_one_by_one_run() {
+    let apps: Vec<Box<dyn appsim::Application>> = vec![
+        Box::new(RingHangApp::new(4_096, FrameVocabulary::BlueGeneL)),
+        Box::new(ComputeSpreadApp::new(4_096, 5, FrameVocabulary::Linux)),
+    ];
+    for app in &apps {
+        for representation in [
+            Representation::GlobalBitVector,
+            Representation::HierarchicalTaskList,
+        ] {
+            let session = Session::builder(Cluster::test_cluster(64, 8))
+                .representation(representation)
+                .samples_per_task(3)
+                .build();
+            let report = session.attach(app.as_ref()).unwrap();
+
+            let dict = FrameDictionary::negotiate(app.frame_hints());
+            let serial = serial_contributions(&session, app.as_ref(), &dict);
+            assert!(serial.len() > 1, "the job must span several daemons");
+            let ids: Vec<u32> = serial.iter().map(|c| c.daemon_id).collect();
+            assert_eq!(ids, (0..serial.len() as u32).collect::<Vec<_>>());
+            let tree_bytes: Vec<u64> = serial
+                .iter()
+                .map(|c| (c.tree_2d.size_bytes() + c.tree_3d.size_bytes()) as u64)
+                .collect();
+            let rank_map_bytes: u64 = match representation {
+                Representation::GlobalBitVector => 0,
+                Representation::HierarchicalTaskList => {
+                    serial.iter().map(|c| c.rank_map.size_bytes() as u64).sum()
+                }
+            };
+            let traces: u64 = serial.iter().map(|c| c.traces_gathered).sum();
+            let merged = session.merge(serial, app.num_tasks(), &dict).unwrap();
+
+            let what = format!("{} under {representation:?}", app.name());
+            let shape = |classes: &[EquivalenceClass]| -> Vec<(Vec<String>, Vec<u64>)> {
+                classes
+                    .iter()
+                    .map(|c| {
+                        let path = c.path.iter().map(|&f| merged.frames.name(f).to_string());
+                        (path.collect(), c.tasks.clone())
+                    })
+                    .collect()
+            };
+            assert_eq!(
+                shape(&report.gather.classes),
+                shape(&merged.classes),
+                "{what}"
+            );
+            assert_eq!(report.gather.classes, merged.classes, "{what}");
+            assert_eq!(
+                report.gather.metrics.frontend_bytes_in, merged.metrics.frontend_bytes_in,
+                "{what}"
+            );
+            assert_eq!(report.traces_gathered, traces, "{what}");
+            assert_eq!(
+                report.max_daemon_packet_bytes,
+                tree_bytes.iter().copied().max().unwrap(),
+                "{what}"
+            );
+            assert_eq!(
+                report.mean_daemon_packet_bytes,
+                tree_bytes.iter().sum::<u64>() / tree_bytes.len() as u64,
+                "{what}"
+            );
+            assert_eq!(
+                report.packet_bytes,
+                tree_bytes.iter().sum::<u64>() + rank_map_bytes,
+                "{what}"
+            );
+        }
+    }
+}
+
+#[test]
+fn zero_samples_per_task_is_a_typed_config_error() {
+    let app = RingHangApp::new(64, FrameVocabulary::Linux);
+    let expected = StatError::InvalidConfig {
+        setting: "samples_per_task",
+        value: 0,
+        requirement: "at least one stack-trace sample per task",
+    };
+    let attach = Session::builder(Cluster::test_cluster(8, 8))
+        .samples_per_task(0)
+        .build()
+        .attach(&app);
+    assert_eq!(attach.unwrap_err(), expected);
+
+    let open = Session::builder(Cluster::test_cluster(8, 8))
+        .streaming(0)
+        .open(Box::new(appsim::SteadySource::healthy(
+            64,
+            FrameVocabulary::Linux,
+        )));
+    assert_eq!(open.err(), Some(expected));
+}

@@ -190,6 +190,108 @@ fn build_global(paths: &[Vec<usize>], table: &mut FrameTable) -> GlobalPrefixTre
     tree
 }
 
+/// 1..6 daemons, each owning 1..5 tasks.  Every task has an arbitrary base call
+/// path plus an optional deeper continuation observed in a later sample (the
+/// temporal chains real sampling produces: the polling frames recurse further,
+/// never onto a sibling branch), so some tasks' traces are a prefix of others'.
+fn daemon_traces() -> impl Strategy<Value = Vec<Vec<(Vec<usize>, Vec<usize>)>>> {
+    prop::collection::vec(
+        prop::collection::vec(
+            (
+                prop::collection::vec(0..FRAME_POOL.len(), 1..6),
+                prop::collection::vec(0..FRAME_POOL.len(), 0..3),
+            ),
+            1..5,
+        ),
+        1..6,
+    )
+}
+
+/// The three trees one set of daemon traces merges into.
+struct TraceTrees {
+    total: u64,
+    /// One job-wide tree fed directly with global ranks.
+    dense: GlobalPrefixTree,
+    /// The daemons' subtree trees concatenated, in subtree-local positions.
+    merged: SubtreePrefixTree,
+    /// `merged` remapped through a seeded rank permutation.
+    remapped: GlobalPrefixTree,
+}
+
+fn merge_daemon_traces(daemons: &[Vec<(Vec<usize>, Vec<usize>)>], seed: u64) -> TraceTrees {
+    let total: u64 = daemons.iter().map(|d| d.len() as u64).sum();
+    let mut rank_map: Vec<u64> = (0..total).collect();
+    for i in (1..rank_map.len()).rev() {
+        rank_map.swap(
+            i,
+            ((seed.wrapping_mul(i as u64 + 3)) % (i as u64 + 1)) as usize,
+        );
+    }
+
+    let mut table = FrameTable::new();
+    let mut dense = GlobalPrefixTree::new_global(total);
+    let mut merged = SubtreePrefixTree::new_subtree(0);
+    let mut offset = 0u64;
+    for daemon in daemons {
+        let mut local_tree = SubtreePrefixTree::new_subtree(daemon.len() as u64);
+        for (local, (base, extension)) in daemon.iter().enumerate() {
+            let rank = rank_map[(offset + local as u64) as usize];
+            let names: Vec<&str> = base.iter().map(|&i| FRAME_POOL[i]).collect();
+            let trace = StackTrace::new(table.intern_path(&names));
+            local_tree.add_trace(&trace, local as u64);
+            dense.add_trace(&trace, rank);
+            if !extension.is_empty() {
+                let mut deeper = names.clone();
+                deeper.extend(extension.iter().map(|&i| FRAME_POOL[i]));
+                let trace = StackTrace::new(table.intern_path(&deeper));
+                local_tree.add_trace(&trace, local as u64);
+                dense.add_trace(&trace, rank);
+            }
+        }
+        merged.merge(local_tree);
+        offset += daemon.len() as u64;
+    }
+    let remapped = merged.remap(&rank_map, total);
+    TraceTrees {
+        total,
+        dense,
+        merged,
+        remapped,
+    }
+}
+
+/// The original per-member definition of `equivalence_classes`, kept as the
+/// oracle for the word-level one: for every node, hash every child's members,
+/// then keep the node's members outside that set.
+fn oracle_classes<S: TaskSetOps>(tree: &PrefixTree<S>) -> Vec<EquivalenceClass> {
+    let mut classes: Vec<EquivalenceClass> = Vec::new();
+    for (node, _, _) in tree.iter_nodes() {
+        let deeper: std::collections::HashSet<u64> = tree
+            .children(node)
+            .iter()
+            .flat_map(|&c| tree.tasks(c).iter_members())
+            .collect();
+        let terminal: Vec<u64> = tree
+            .tasks(node)
+            .iter_members()
+            .filter(|t| !deeper.contains(t))
+            .collect();
+        if !terminal.is_empty() {
+            classes.push(EquivalenceClass {
+                path: tree.path_to(node),
+                tasks: terminal,
+            });
+        }
+    }
+    classes.sort_by(|a, b| {
+        b.tasks
+            .len()
+            .cmp(&a.tasks.len())
+            .then_with(|| a.path.cmp(&b.path))
+    });
+    classes
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -332,66 +434,35 @@ proptest! {
 
     #[test]
     fn equivalence_classes_partition_arbitrary_merged_trees(
-        // 1..6 daemons, each owning 1..5 tasks.  Every task has an arbitrary base
-        // call path plus an optional deeper continuation observed in a later
-        // sample (the temporal chains real sampling produces: the polling frames
-        // recurse further, never onto a sibling branch).  Whatever the daemons
-        // saw and however the trees were merged and remapped, the extracted
-        // classes must partition 0..tasks: pairwise disjoint, exhaustive, sizes
-        // summing to the task count.
-        daemons in prop::collection::vec(
-            prop::collection::vec(
-                (
-                    prop::collection::vec(0..FRAME_POOL.len(), 1..6),
-                    prop::collection::vec(0..FRAME_POOL.len(), 0..3),
-                ),
-                1..5,
-            ),
-            1..6,
-        ),
+        daemons in daemon_traces(),
         seed in 0u64..1_000,
     ) {
-        let total: u64 = daemons.iter().map(|d| d.len() as u64).sum();
-        let mut rank_map: Vec<u64> = (0..total).collect();
-        for i in (1..rank_map.len()).rev() {
-            rank_map.swap(i, ((seed.wrapping_mul(i as u64 + 3)) % (i as u64 + 1)) as usize);
-        }
-
-        let mut table = FrameTable::new();
-        let mut dense = GlobalPrefixTree::new_global(total);
-        let mut merged = SubtreePrefixTree::new_subtree(0);
-        let mut offset = 0u64;
-        for daemon in &daemons {
-            let mut local_tree = SubtreePrefixTree::new_subtree(daemon.len() as u64);
-            for (local, (base, extension)) in daemon.iter().enumerate() {
-                let rank = rank_map[(offset + local as u64) as usize];
-                let names: Vec<&str> = base.iter().map(|&i| FRAME_POOL[i]).collect();
-                let trace = StackTrace::new(table.intern_path(&names));
-                local_tree.add_trace(&trace, local as u64);
-                dense.add_trace(&trace, rank);
-                if !extension.is_empty() {
-                    let mut deeper = names.clone();
-                    deeper.extend(extension.iter().map(|&i| FRAME_POOL[i]));
-                    let trace = StackTrace::new(table.intern_path(&deeper));
-                    local_tree.add_trace(&trace, local as u64);
-                    dense.add_trace(&trace, rank);
-                }
-            }
-            merged.merge(local_tree);
-            offset += daemon.len() as u64;
-        }
-        let remapped = merged.remap(&rank_map, total);
+        let trees = merge_daemon_traces(&daemons, seed);
 
         // Both merge paths must produce a true partition of the job.
-        for tree in [&dense, &remapped] {
+        for tree in [&trees.dense, &trees.remapped] {
             let classes = equivalence_classes(tree);
             let sizes: usize = classes.iter().map(|c| c.tasks.len()).sum();
-            prop_assert_eq!(sizes as u64, total, "class sizes must sum to the task count");
+            prop_assert_eq!(sizes as u64, trees.total, "class sizes must sum to the task count");
             let mut all: Vec<u64> = classes.iter().flat_map(|c| c.tasks.clone()).collect();
             all.sort_unstable();
             // Sorted-equal to 0..total == exhaustive AND pairwise disjoint.
-            prop_assert_eq!(all, (0..total).collect::<Vec<u64>>());
+            prop_assert_eq!(all, (0..trees.total).collect::<Vec<u64>>());
         }
+    }
+
+    #[test]
+    fn word_level_classify_matches_the_per_member_oracle(
+        daemons in daemon_traces(),
+        seed in 0u64..1_000,
+    ) {
+        // The same classes — paths, ranks and order — as the original
+        // hash-every-child definition, on dense trees, on un-remapped subtree
+        // trees (subtree-local positions) and on remapped trees.
+        let trees = merge_daemon_traces(&daemons, seed);
+        prop_assert_eq!(equivalence_classes(&trees.dense), oracle_classes(&trees.dense));
+        prop_assert_eq!(equivalence_classes(&trees.merged), oracle_classes(&trees.merged));
+        prop_assert_eq!(equivalence_classes(&trees.remapped), oracle_classes(&trees.remapped));
     }
 
     #[test]
