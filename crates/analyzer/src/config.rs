@@ -38,6 +38,9 @@ impl Config {
                 "crates/core/src/streaming.rs",
                 "crates/core/src/equivalence.rs",
                 "crates/core/src/daemon.rs",
+                "crates/core/src/session.rs",
+                "crates/stackwalk/src/dictionary.rs",
+                "crates/appsim/src/app.rs",
             ]),
             word_math_modules: s(&[
                 "crates/core/src/taskset.rs",

@@ -87,8 +87,7 @@ pub fn gather_samples_for_ranks_from(
             for sample in base..base.saturating_add(samples) {
                 for thread in 0..app.threads_per_task() {
                     let path = app.call_path(rank, thread, sample);
-                    let path_refs: Vec<&str> = path.to_vec();
-                    traces.push(walker.walk(table, &path_refs));
+                    traces.push(walker.walk(table, &path));
                 }
             }
             TaskSamples::new(rank, traces)

@@ -52,7 +52,7 @@ impl Application for IterativeSolverApp {
 
     fn call_path(&self, rank: u64, _thread: u32, sample: u32) -> Vec<&'static str> {
         let v = self.vocab;
-        let mut path = vec![v.start(), v.main(), "timestep_loop"];
+        let mut path = v.path_from(&[v.start(), v.main(), "timestep_loop"]);
         match self.phase(rank, sample) {
             0 => {
                 path.push("compute_interior");
@@ -133,7 +133,7 @@ impl Application for StragglerApp {
 
     fn call_path(&self, rank: u64, _thread: u32, sample: u32) -> Vec<&'static str> {
         let v = self.vocab;
-        let mut path = vec![v.start(), v.main(), "timestep_loop"];
+        let mut path = v.path_from(&[v.start(), v.main(), "timestep_loop"]);
         if self.truth.is_faulty(rank) {
             path.push("compute_interior");
             if sample.is_multiple_of(2) {
@@ -215,7 +215,7 @@ impl Application for CheckpointStormApp {
 
     fn call_path(&self, rank: u64, _thread: u32, sample: u32) -> Vec<&'static str> {
         let v = self.vocab;
-        let mut path = vec![v.start(), v.main(), "write_checkpoint"];
+        let mut path = v.path_from(&[v.start(), v.main(), "write_checkpoint"]);
         let cutoff = (self.tasks as f64 * self.completed_fraction) as u64;
         if rank < cutoff {
             path.push(v.barrier());

@@ -105,7 +105,7 @@ impl Application for RingHangApp {
 
     fn call_path(&self, rank: u64, _thread: u32, sample_index: u32) -> Vec<&'static str> {
         let v = self.vocab;
-        let mut path = vec![v.start(), v.main()];
+        let mut path = v.path_from(&[v.start(), v.main()]);
         if rank == self.hung_rank {
             // Hung before its send: spinning in the application's stall routine,
             // occasionally caught reading the clock.

@@ -671,6 +671,8 @@ pub fn randomized_scenarios(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::progress::IterativeSolverApp;
+    use crate::workloads::{ComputeSpreadApp, ThreadedApp};
 
     fn diagnosis(classes: Vec<(Vec<&str>, Vec<u64>)>, tasks: u64) -> Diagnosis {
         Diagnosis {
@@ -708,6 +710,34 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), scenarios.len());
+    }
+
+    #[test]
+    fn every_call_path_fits_the_presized_path() {
+        for vocab in [FrameVocabulary::Linux, FrameVocabulary::BlueGeneL] {
+            let mut apps: Vec<Arc<dyn Application>> = catalogue(64, vocab)
+                .into_iter()
+                .chain(randomized_scenarios(64, vocab, 7, 8))
+                .map(|s| s.app)
+                .collect();
+            apps.push(Arc::new(ComputeSpreadApp::new(64, 9, vocab)));
+            apps.push(Arc::new(ThreadedApp::new(64, 3, vocab)));
+            apps.push(Arc::new(IterativeSolverApp::new(64, 2, vocab)));
+            for app in &apps {
+                for rank in 0..app.num_tasks() {
+                    for thread in 0..app.threads_per_task() {
+                        for sample in 0..6 {
+                            let depth = app.call_path(rank, thread, sample).len();
+                            assert!(
+                                depth <= vocab.max_path_depth(),
+                                "{} builds a {depth}-frame path",
+                                app.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -58,7 +58,7 @@ impl Application for AllEquivalentApp {
 
     fn call_path(&self, _rank: u64, _thread: u32, _sample: u32) -> Vec<&'static str> {
         let v = self.vocab;
-        let mut path = vec![v.start(), v.main(), v.barrier()];
+        let mut path = v.path_from(&[v.start(), v.main(), v.barrier()]);
         path.extend_from_slice(v.barrier_impl());
         path.extend_from_slice(v.progress_impl());
         path
@@ -106,7 +106,7 @@ impl Application for ComputeSpreadApp {
         let kernels = v.compute_kernels();
         let class = (rank % self.classes as u64) as usize;
         let kernel = kernels[class % kernels.len()];
-        let mut path = vec![v.start(), v.main(), "timestep_loop", kernel];
+        let mut path = v.path_from(&[v.start(), v.main(), "timestep_loop", kernel]);
         // Alternate between the kernel body and a nested helper over time so the 3D
         // tree has temporal structure too.
         if sample % 2 == 1 {
@@ -178,7 +178,7 @@ impl Application for DeadlockPairApp {
 
     fn call_path(&self, rank: u64, _thread: u32, sample: u32) -> Vec<&'static str> {
         let v = self.vocab;
-        let mut path = vec![v.start(), v.main()];
+        let mut path = v.path_from(&[v.start(), v.main()]);
         if self.truth.is_faulty(rank) {
             path.push("exchange_halo");
             path.push("PMPI_Recv");
@@ -233,14 +233,14 @@ impl Application for ThreadedApp {
         let v = self.vocab;
         if thread == 0 {
             // The MPI thread behaves like the all-equivalent app.
-            let mut path = vec![v.start(), v.main(), v.barrier()];
+            let mut path = v.path_from(&[v.start(), v.main(), v.barrier()]);
             path.extend_from_slice(v.barrier_impl());
             path
         } else {
             // Worker threads split between two OpenMP-style regions; which region a
             // worker is in depends on rank, thread and time, so threads genuinely
             // multiply the distinct traces the tool must manage.
-            let mut path = vec![v.start()];
+            let mut path = v.path_from(&[v.start()]);
             path.extend_from_slice(v.thread_entry());
             let region = (rank as u32 + thread + sample) % 2;
             if region == 0 {
@@ -321,7 +321,7 @@ impl Application for IoStormApp {
 
     fn call_path(&self, rank: u64, _thread: u32, sample: u32) -> Vec<&'static str> {
         let v = self.vocab;
-        let mut path = vec![v.start(), v.main(), "open_restart_file"];
+        let mut path = v.path_from(&[v.start(), v.main(), "open_restart_file"]);
         if self.truth.is_faulty(rank) {
             path.extend_from_slice(v.shared_fs_open_impl());
             if sample.is_multiple_of(2) {
@@ -383,13 +383,13 @@ impl Application for OsNoiseApp {
 
     fn call_path(&self, rank: u64, _thread: u32, sample: u32) -> Vec<&'static str> {
         let v = self.vocab;
-        let mut path = vec![
+        let mut path = v.path_from(&[
             v.start(),
             v.main(),
             "timestep_loop",
             "compute_interior",
             "stencil_inner",
-        ];
+        ]);
         let h = mix(rank, sample);
         if h.is_multiple_of(13) {
             let noise = v.noise_frames();
@@ -454,7 +454,7 @@ impl Application for CollectiveMismatchApp {
 
     fn call_path(&self, rank: u64, _thread: u32, _sample: u32) -> Vec<&'static str> {
         let v = self.vocab;
-        let mut path = vec![v.start(), v.main(), "solve_timestep"];
+        let mut path = v.path_from(&[v.start(), v.main(), "solve_timestep"]);
         if self.truth.is_faulty(rank) {
             path.push("PMPI_Reduce");
         } else {
@@ -536,9 +536,9 @@ impl Application for CorruptedStackApp {
         if self.truth.is_faulty(rank) {
             let garbage = v.garbage_frames();
             let pick = (mix(rank, sample) % garbage.len() as u64) as usize;
-            vec![v.unknown_frame(), garbage[pick]]
+            v.path_from(&[v.unknown_frame(), garbage[pick]])
         } else {
-            let mut path = vec![v.start(), v.main(), v.barrier()];
+            let mut path = v.path_from(&[v.start(), v.main(), v.barrier()]);
             path.extend_from_slice(v.barrier_impl());
             path
         }
@@ -668,7 +668,7 @@ impl Application for RandomFaultApp {
 
     fn call_path(&self, rank: u64, _thread: u32, sample: u32) -> Vec<&'static str> {
         let v = self.vocab;
-        let mut path = vec![v.start(), v.main()];
+        let mut path = v.path_from(&[v.start(), v.main()]);
         if self.truth.is_faulty(rank) {
             match self.flavor {
                 RandomFaultFlavor::SendStall => {

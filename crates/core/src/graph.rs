@@ -23,7 +23,11 @@
 //! proportional to one input wave.  Callers that must keep the source use
 //! [`PrefixTree::merge_ref`].  Child lookup is a tree-wide `(parent, frame)` hash
 //! (an O(1) probe, not a sibling scan — `add_trace`, `merge` and packet decode all
-//! go through it), and every
+//! go through it).  [`PrefixTree::add_trace`] probes only past the prefix a trace
+//! shares with the previously inserted one: the tree keeps that trace's node path
+//! as a cursor.  The arena is append-only and a `(parent, frame)` edge never changes
+//! once made, so the cursor stays a valid path across later inserts, merges (which
+//! only append to `self`) and clones.  Every
 //! traversal — merge, [`PrefixTree::depth`], [`SubtreePrefixTree::remap`] — runs an
 //! explicit worklist, so a pathologically deep trace cannot overflow the stack.
 //! Before/after numbers live in `results/BENCH_merge.md`.
@@ -98,6 +102,10 @@ pub struct PrefixTree<S: TaskSetOps> {
     /// `add_child`, used by `add_trace`, `merge` and packet decode in place of the
     /// old linear sibling scan.
     child_index: ChildIndex,
+    /// The node path (root excluded) of the last trace `add_trace` inserted.
+    /// Edges never change once made, so it stays a valid path through any later
+    /// insert, merge or clone.
+    cursor: Vec<NodeIdx>,
 }
 
 impl<S: TaskSetOps> PrefixTree<S> {
@@ -119,6 +127,7 @@ impl<S: TaskSetOps> PrefixTree<S> {
                 tasks: S::empty(width),
             }],
             child_index: ChildIndex::default(),
+            cursor: Vec::new(),
         }
     }
 
@@ -246,18 +255,40 @@ impl<S: TaskSetOps> PrefixTree<S> {
 
     /// Add one stack trace observed from task position `index` (a global rank for
     /// global trees, a subtree-local position for subtree trees).
+    ///
+    /// The tree keeps the node path of the last inserted trace as a cursor.
+    /// While the trace's frames match the cursor nodes' frames, those nodes are
+    /// reused and only gain `index`; from the first mismatch on, the trace goes
+    /// through the child-index probe (or `add_child`) and the cursor is rebuilt.
+    /// A cursor node at depth `i` is the child of the cursor node above it with
+    /// that frame, and a `(parent, frame)` pair has one child, so it is the node
+    /// the probe would have returned: the tree, its node order and its task sets
+    /// equal a probe-every-frame insertion.
     pub fn add_trace(&mut self, trace: &StackTrace, index: u64) {
         let root = self.root();
         self.entry_mut(root).tasks.insert(index);
-        let mut cur = root;
-        for &frame in trace.frames() {
+        let frames = trace.frames();
+        let mut cursor = std::mem::take(&mut self.cursor);
+        let shared = cursor
+            .iter()
+            .zip(frames)
+            .take_while(|&(&node, &frame)| self.entry(node).frame == Some(frame))
+            .count();
+        cursor.truncate(shared);
+        for &node in &cursor {
+            self.entry_mut(node).tasks.insert(index);
+        }
+        let mut cur = cursor.last().copied().unwrap_or(root);
+        for &frame in frames.iter().skip(shared) {
             let next = match self.child_with_frame(cur, frame) {
                 Some(c) => c,
                 None => self.add_child(cur, frame),
             };
             self.entry_mut(next).tasks.insert(index);
+            cursor.push(next);
             cur = next;
         }
+        self.cursor = cursor;
     }
 
     /// Add every trace of a task's sample series (the 3D trace/space/time analysis).

@@ -28,7 +28,7 @@ use stackwalk::FrameDictionary;
 use tbon::cost::ReductionCostModel;
 use tbon::fault::{CorruptingFilter, FilterFault};
 use tbon::filter::Filter;
-use tbon::network::{ChannelInput, InProcessTbon};
+use tbon::network::{ChannelInput, InProcessTbon, TbonError};
 use tbon::packet::EndpointId;
 use tbon::planner::TopologyPlanner;
 use tbon::topology::{Topology, TreeShape};
@@ -435,13 +435,14 @@ impl Session {
         let mut metrics = MergeMetrics::default();
         metrics.absorb_walk(&outcomes, reduce);
 
-        let merged = strategy.finish(
-            &outcomes[0],
-            &outcomes[1],
-            outcomes.get(2),
-            total_tasks,
-            dict,
-        )?;
+        // One outcome per channel, in channel order: the two trees, then the
+        // rank map when the strategy ships one.
+        let [tree_2d, tree_3d, rank_map @ ..] = outcomes.as_slice() else {
+            return Err(StatError::Reduce(TbonError::WalkInvariant {
+                context: "a session reduce returns one outcome per channel",
+            }));
+        };
+        let merged = strategy.finish(tree_2d, tree_3d, rank_map.first(), total_tasks, dict)?;
         metrics.remap_wall = merged.remap_wall;
 
         let classify_start = Instant::now();

@@ -664,13 +664,6 @@ impl StreamingSession {
         }
     }
 
-    /// Waves advanced so far (also the index the next [`advance`] will run).
-    ///
-    /// [`advance`]: StreamingSession::advance
-    pub fn waves_advanced(&self) -> u32 {
-        self.wave
-    }
-
     /// The wave source driving the stream.
     pub fn source(&self) -> &dyn WaveSource {
         self.source.as_ref()

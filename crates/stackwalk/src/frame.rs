@@ -50,6 +50,11 @@ impl FrameTable {
         &self.names[id.0 as usize]
     }
 
+    /// The name behind an id, or `None` for an id this table never minted.
+    pub fn get(&self, id: FrameId) -> Option<&str> {
+        self.names.get(id.0 as usize).map(String::as_str)
+    }
+
     /// Look up an id without interning.
     pub fn lookup(&self, name: &str) -> Option<FrameId> {
         self.index.get(name).copied()

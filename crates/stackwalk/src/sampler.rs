@@ -29,10 +29,22 @@ use crate::trace::StackTrace;
 /// equivalent; here the "process" is a simulated MPI task that exposes its call path
 /// as a list of function names, and walking means interning that path.  The walker
 /// counts frames walked so tests can verify perturbation accounting.
+///
+/// Consecutive traces share long prefixes (every task starts in the same entry
+/// point and `main`, and most sit in the same MPI call), so the walker keeps the
+/// previous trace's [`FrameId`]s and symbolises only where the new path differs:
+/// at position `i` it reuses the previous id when the table's name for that id is
+/// `call_path[i]`, and interns otherwise.  Interning is a bijection between names
+/// and ids within one table, so a reused id is exactly the id
+/// [`FrameTable::intern`] would return, and the trace, the table and the counters
+/// equal those of plain interning.  The name check is a non-panicking lookup in the
+/// table being walked into, so a walker reused against another table can neither
+/// panic nor hand out a foreign id: a mismatch just falls back to interning.
 #[derive(Debug, Default)]
 pub struct Walker {
     frames_walked: u64,
     traces_taken: u64,
+    previous: Vec<FrameId>,
 }
 
 impl Walker {
@@ -45,7 +57,15 @@ impl Walker {
     pub fn walk(&mut self, table: &mut FrameTable, call_path: &[&str]) -> StackTrace {
         self.traces_taken += 1;
         self.frames_walked += call_path.len() as u64;
-        let frames: Vec<FrameId> = call_path.iter().map(|f| table.intern(f)).collect();
+        let mut frames = Vec::with_capacity(call_path.len());
+        for (i, &name) in call_path.iter().enumerate() {
+            let id = match self.previous.get(i) {
+                Some(&id) if table.get(id) == Some(name) => id,
+                _ => table.intern(name),
+            };
+            frames.push(id);
+        }
+        self.previous.clone_from(&frames);
         StackTrace::new(frames)
     }
 

@@ -34,7 +34,6 @@ pub mod filter;
 pub mod network;
 pub mod packet;
 pub mod planner;
-pub mod stream;
 pub mod topology;
 
 pub use cost::{ReductionCost, ReductionCostModel};
@@ -46,5 +45,4 @@ pub use packet::{EndpointId, Packet, PacketTag};
 pub use planner::{
     CandidateOrigin, PlanConstraint, PlannedTopology, PlannerConfig, TopologyPlanner,
 };
-pub use stream::{BroadcastRoute, Stream, StreamManager};
 pub use topology::{Topology, TopologyError, TreeNode, TreeNodeRole, TreeShape};

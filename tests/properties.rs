@@ -4,7 +4,9 @@
 
 use proptest::prelude::*;
 
-use stackwalk::{FrameTable, StackTrace};
+use std::collections::{BTreeMap, BTreeSet};
+
+use stackwalk::{FrameId, FrameTable, StackTrace, Walker};
 use stat_core::prelude::*;
 use tbon::topology::{Topology, TreeShape};
 
@@ -529,6 +531,136 @@ proptest! {
         // Every truncation of the buffer decodes to a typed error, not a tree.
         let keep = global_bytes.len().saturating_sub(cut);
         prop_assert!(decode_tree::<DenseBitVector>(&global_bytes[..keep]).is_err());
+    }
+}
+
+// ---------------------------------------------------------------------------------
+// Prefix reuse: the walker's previous trace and the tree's insertion cursor
+// ---------------------------------------------------------------------------------
+
+/// Call paths 0..8 deep over the first four frames of `FRAME_POOL`: with so few
+/// names, consecutive paths share prefixes of every length and diverge at every
+/// depth, and empty, shrinking and growing paths all come up.
+fn prefix_heavy_path() -> impl Strategy<Value = Vec<usize>> {
+    prop::collection::vec(0..4usize, 0..8)
+}
+
+/// Every prefix of every inserted trace (the empty prefix is the root) mapped to
+/// the task positions that reached it — the prefix tree's definition, with no
+/// tree in it.
+type PrefixOracle = BTreeMap<Vec<FrameId>, BTreeSet<u64>>;
+
+fn record_prefixes(oracle: &mut PrefixOracle, frames: &[FrameId], index: u64) {
+    for depth in 0..=frames.len() {
+        oracle
+            .entry(frames[..depth].to_vec())
+            .or_default()
+            .insert(index);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn walker_ids_match_plain_interning(
+        walks in prop::collection::vec((0usize..2, prefix_heavy_path()), 1..40),
+    ) {
+        // One walker, two tables in turn.  The second table starts with two
+        // names in another order, so an id the walker kept from the first table
+        // either names a different frame there or is out of its range.
+        let mut walker = Walker::new();
+        let mut tables = [FrameTable::new(), FrameTable::new()];
+        let mut oracles = [FrameTable::new(), FrameTable::new()];
+        for name in [FRAME_POOL[3], FRAME_POOL[2]] {
+            tables[1].intern(name);
+            oracles[1].intern(name);
+        }
+        let mut frames = 0u64;
+        for (which, path) in &walks {
+            let names: Vec<&str> = path.iter().map(|&f| FRAME_POOL[f]).collect();
+            let trace = walker.walk(&mut tables[*which], &names);
+            let expected = oracles[*which].intern_path(&names);
+            prop_assert_eq!(trace.frames(), &expected[..]);
+            frames += names.len() as u64;
+        }
+        for (table, oracle) in tables.iter().zip(&oracles) {
+            prop_assert_eq!(
+                table.names().collect::<Vec<_>>(),
+                oracle.names().collect::<Vec<_>>()
+            );
+        }
+        prop_assert_eq!(walker.traces_taken(), walks.len() as u64);
+        prop_assert_eq!(walker.frames_walked(), frames);
+    }
+
+    #[test]
+    fn cursor_insertion_matches_the_prefix_oracle(
+        ops in prop::collection::vec((0u8..10, prefix_heavy_path(), 0u64..16), 1..48),
+    ) {
+        // Ops 0..=6 insert into the tree, 7 replaces it by its clone (cursor and
+        // all), 8 and 9 merge in a one-trace tree by value or by reference.
+        let mut tree = GlobalPrefixTree::new_global(16);
+        let mut oracle = PrefixOracle::new();
+        oracle.insert(Vec::new(), BTreeSet::new());
+        let mut inserted: Vec<Vec<FrameId>> = Vec::new();
+        for (op, path, index) in &ops {
+            let frames: Vec<FrameId> = path.iter().map(|&f| FrameId(f as u32)).collect();
+            let trace = StackTrace::new(frames.clone());
+            match op {
+                0..=6 => {
+                    tree.add_trace(&trace, *index);
+                    inserted.push(frames.clone());
+                }
+                7 => {
+                    tree = tree.clone();
+                    continue;
+                }
+                _ => {
+                    let mut other = GlobalPrefixTree::new_global(16);
+                    other.add_trace(&trace, *index);
+                    if *op == 8 {
+                        tree.merge(other);
+                    } else {
+                        tree.merge_ref(&other);
+                    }
+                }
+            }
+            record_prefixes(&mut oracle, &frames, *index);
+        }
+
+        let mut seen = PrefixOracle::new();
+        for node in 0..tree.node_count() {
+            let tasks: BTreeSet<u64> = tree.tasks(node).members().into_iter().collect();
+            prop_assert!(seen.insert(tree.path_to(node), tasks).is_none());
+            let mut frames: Vec<FrameId> = tree
+                .children(node)
+                .iter()
+                .filter_map(|&c| tree.frame(c))
+                .collect();
+            frames.sort_unstable();
+            frames.dedup();
+            prop_assert_eq!(frames.len(), tree.children(node).len());
+        }
+        prop_assert_eq!(tree.node_count(), oracle.len());
+        prop_assert_eq!(seen, oracle);
+
+        // Node order: a tree built by inserts alone numbers its nodes in the
+        // order their prefixes first appear, shallow before deep — the order a
+        // probe at every frame creates them in.
+        let mut plain = GlobalPrefixTree::new_global(16);
+        let mut first_seen: Vec<Vec<FrameId>> = vec![Vec::new()];
+        for frames in &inserted {
+            plain.add_trace(&StackTrace::new(frames.clone()), 0);
+            for depth in 1..=frames.len() {
+                let prefix = frames[..depth].to_vec();
+                if !first_seen.contains(&prefix) {
+                    first_seen.push(prefix);
+                }
+            }
+        }
+        let order: Vec<Vec<FrameId>> = (0..plain.node_count()).map(|n| plain.path_to(n)).collect();
+        prop_assert_eq!(order, first_seen);
     }
 }
 
