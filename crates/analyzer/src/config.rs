@@ -41,6 +41,8 @@ impl Config {
                 "crates/core/src/session.rs",
                 "crates/stackwalk/src/dictionary.rs",
                 "crates/appsim/src/app.rs",
+                "crates/stackwalk/src/sampler.rs",
+                "crates/appsim/src/ring.rs",
             ]),
             word_math_modules: s(&[
                 "crates/core/src/taskset.rs",

@@ -21,14 +21,22 @@ pub trait Application: Send + Sync {
         1
     }
 
-    /// The call path (outermost frame first) of `thread` of `rank` at sample
-    /// `sample_index`.  Implementations must be deterministic in their arguments so
-    /// that experiments are reproducible.
-    fn call_path(&self, rank: u64, thread: u32, sample_index: u32) -> Vec<&'static str>;
+    /// Write the call path (outermost frame first) of `thread` of `rank` at sample
+    /// `sample_index` into `path`.
+    ///
+    /// The buffer contract: `path` may still hold an earlier call path, and the
+    /// implementation replaces it — on return `path` holds exactly this call
+    /// path.  A daemon reuses one buffer for every trace it takes, so the emulated
+    /// stack read allocates only while the buffer grows to the deepest path.
+    /// Implementations must be deterministic in their arguments so that
+    /// experiments are reproducible.
+    fn call_path(&self, rank: u64, thread: u32, sample_index: u32, path: &mut Vec<&'static str>);
 
-    /// Convenience: the call path of the main thread.
+    /// Convenience: the call path of the main thread, in a buffer of its own.
     fn main_thread_path(&self, rank: u64, sample_index: u32) -> Vec<&'static str> {
-        self.call_path(rank, 0, sample_index)
+        let mut path = Vec::new();
+        self.call_path(rank, 0, sample_index, &mut path);
+        path
     }
 
     /// Frame names this application's traces are expected to contain — the seed
@@ -62,31 +70,15 @@ pub fn gather_samples_for_ranks(
     samples: u32,
     table: &mut FrameTable,
 ) -> Vec<TaskSamples> {
-    gather_samples_for_ranks_from(app, ranks, 0, samples, table)
-}
-
-/// [`gather_samples_for_ranks`] starting at sample index `base` instead of 0.
-///
-/// Streaming sessions advance the sample clock across waves: wave `w` of a
-/// session taking `samples` traces per wave observes sample indices
-/// `base = w * samples` onward, so a time-varying application (a straggler
-/// drifting, a hang developing) shows each wave a *later* slice of its
-/// behaviour rather than replaying sample 0 forever.
-pub fn gather_samples_for_ranks_from(
-    app: &dyn Application,
-    ranks: &[u64],
-    base: u32,
-    samples: u32,
-    table: &mut FrameTable,
-) -> Vec<TaskSamples> {
     let mut walker = Walker::new();
+    let mut path = Vec::new();
     ranks
         .iter()
         .map(|&rank| {
             let mut traces = Vec::with_capacity(samples as usize * app.threads_per_task() as usize);
-            for sample in base..base.saturating_add(samples) {
+            for sample in 0..samples {
                 for thread in 0..app.threads_per_task() {
-                    let path = app.call_path(rank, thread, sample);
+                    app.call_path(rank, thread, sample, &mut path);
                     traces.push(walker.walk(table, &path));
                 }
             }
@@ -110,12 +102,10 @@ mod tests {
         fn num_tasks(&self) -> u64 {
             self.tasks
         }
-        fn call_path(&self, rank: u64, _thread: u32, _sample: u32) -> Vec<&'static str> {
-            if rank == 0 {
-                vec!["_start", "main", "io_wait"]
-            } else {
-                vec!["_start", "main", "compute"]
-            }
+        fn call_path(&self, rank: u64, _thread: u32, _sample: u32, path: &mut Vec<&'static str>) {
+            let leaf = if rank == 0 { "io_wait" } else { "compute" };
+            path.clear();
+            path.extend_from_slice(&["_start", "main", leaf]);
         }
     }
 

@@ -37,9 +37,7 @@ pub mod streaming;
 pub mod vocab;
 pub mod workloads;
 
-pub use app::{
-    gather_samples, gather_samples_for_ranks, gather_samples_for_ranks_from, Application,
-};
+pub use app::{gather_samples, gather_samples_for_ranks, Application};
 pub use progress::{CheckpointStormApp, IterativeSolverApp, StragglerApp};
 pub use ring::RingHangApp;
 pub use scenario::{

@@ -50,9 +50,10 @@ impl Application for IterativeSolverApp {
         self.vocab.dictionary_hints()
     }
 
-    fn call_path(&self, rank: u64, _thread: u32, sample: u32) -> Vec<&'static str> {
+    fn call_path(&self, rank: u64, _thread: u32, sample: u32, path: &mut Vec<&'static str>) {
         let v = self.vocab;
-        let mut path = v.path_from(&[v.start(), v.main(), "timestep_loop"]);
+        path.clear();
+        path.extend_from_slice(&[v.start(), v.main(), "timestep_loop"]);
         match self.phase(rank, sample) {
             0 => {
                 path.push("compute_interior");
@@ -68,7 +69,6 @@ impl Application for IterativeSolverApp {
                 path.extend_from_slice(v.barrier_impl());
             }
         }
-        path
     }
 }
 
@@ -131,9 +131,10 @@ impl Application for StragglerApp {
         self.vocab.dictionary_hints()
     }
 
-    fn call_path(&self, rank: u64, _thread: u32, sample: u32) -> Vec<&'static str> {
+    fn call_path(&self, rank: u64, _thread: u32, sample: u32, path: &mut Vec<&'static str>) {
         let v = self.vocab;
-        let mut path = v.path_from(&[v.start(), v.main(), "timestep_loop"]);
+        path.clear();
+        path.extend_from_slice(&[v.start(), v.main(), "timestep_loop"]);
         if self.truth.is_faulty(rank) {
             path.push("compute_interior");
             if sample.is_multiple_of(2) {
@@ -143,7 +144,6 @@ impl Application for StragglerApp {
             path.push(v.barrier());
             path.extend_from_slice(v.barrier_impl());
         }
-        path
     }
 }
 
@@ -213,9 +213,10 @@ impl Application for CheckpointStormApp {
         self.vocab.dictionary_hints()
     }
 
-    fn call_path(&self, rank: u64, _thread: u32, sample: u32) -> Vec<&'static str> {
+    fn call_path(&self, rank: u64, _thread: u32, sample: u32, path: &mut Vec<&'static str>) {
         let v = self.vocab;
-        let mut path = v.path_from(&[v.start(), v.main(), "write_checkpoint"]);
+        path.clear();
+        path.extend_from_slice(&[v.start(), v.main(), "write_checkpoint"]);
         let cutoff = (self.tasks as f64 * self.completed_fraction) as u64;
         if rank < cutoff {
             path.push(v.barrier());
@@ -227,7 +228,6 @@ impl Application for CheckpointStormApp {
                 path.push("pwrite64");
             }
         }
-        path
     }
 }
 

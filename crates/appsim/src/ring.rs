@@ -103,9 +103,10 @@ impl Application for RingHangApp {
         self.vocab.dictionary_hints()
     }
 
-    fn call_path(&self, rank: u64, _thread: u32, sample_index: u32) -> Vec<&'static str> {
+    fn call_path(&self, rank: u64, _thread: u32, sample_index: u32, path: &mut Vec<&'static str>) {
         let v = self.vocab;
-        let mut path = v.path_from(&[v.start(), v.main()]);
+        path.clear();
+        path.extend_from_slice(&[v.start(), v.main()]);
         if rank == self.hung_rank {
             // Hung before its send: spinning in the application's stall routine,
             // occasionally caught reading the clock.
@@ -118,7 +119,7 @@ impl Application for RingHangApp {
             path.push(v.waitall());
             path.extend_from_slice(v.progress_impl());
             let depth = 1 + (sample_index as usize % v.max_poll_depth());
-            self.push_poll_chain(&mut path, depth);
+            self.push_poll_chain(path, depth);
         } else {
             // Everyone else has entered the barrier and is driving the progress
             // engine; the polling recursion depth varies from sample to sample and
@@ -127,9 +128,8 @@ impl Application for RingHangApp {
             path.extend_from_slice(v.barrier_impl());
             path.extend_from_slice(v.progress_impl());
             let depth = 1 + ((rank as usize + sample_index as usize) % v.max_poll_depth());
-            self.push_poll_chain(&mut path, depth);
+            self.push_poll_chain(path, depth);
         }
-        path
     }
 }
 

@@ -723,17 +723,43 @@ mod tests {
             apps.push(Arc::new(ComputeSpreadApp::new(64, 9, vocab)));
             apps.push(Arc::new(ThreadedApp::new(64, 3, vocab)));
             apps.push(Arc::new(IterativeSolverApp::new(64, 2, vocab)));
+            let mut path = Vec::new();
             for app in &apps {
                 for rank in 0..app.num_tasks() {
                     for thread in 0..app.threads_per_task() {
                         for sample in 0..6 {
-                            let depth = app.call_path(rank, thread, sample).len();
+                            app.call_path(rank, thread, sample, &mut path);
+                            let depth = path.len();
                             assert!(
                                 depth <= vocab.max_path_depth(),
                                 "{} builds a {depth}-frame path",
                                 app.name()
                             );
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn call_path_replaces_what_the_buffer_held() {
+        let vocab = FrameVocabulary::BlueGeneL;
+        let mut apps: Vec<Arc<dyn Application>> = catalogue(64, vocab)
+            .into_iter()
+            .chain(randomized_scenarios(64, vocab, 7, 8))
+            .map(|s| s.app)
+            .collect();
+        apps.push(Arc::new(ThreadedApp::new(64, 3, vocab)));
+        let mut reused = vec!["stale_frame"; 32];
+        for app in &apps {
+            for rank in 0..app.num_tasks() {
+                for thread in 0..app.threads_per_task() {
+                    for sample in 0..4 {
+                        app.call_path(rank, thread, sample, &mut reused);
+                        let mut fresh = Vec::new();
+                        app.call_path(rank, thread, sample, &mut fresh);
+                        assert_eq!(reused, fresh, "{} rank {rank}", app.name());
                     }
                 }
             }

@@ -84,19 +84,11 @@ impl FrameVocabulary {
     /// test's barrier crowd at the deepest polling recursion (entry point, `main`,
     /// the barrier and its implementation, the progress engine, then
     /// `max_poll_depth` polling steps).
+    #[cfg(test)]
     pub(crate) fn max_path_depth(self) -> usize {
         3 + self.barrier_impl().len()
             + self.progress_impl().len()
             + self.max_poll_depth() * self.poll_step().len()
-    }
-
-    /// A call path that starts with `outer` and has room for
-    /// [`max_path_depth`](Self::max_path_depth) frames, so the frames an
-    /// application pushes below it never reallocate the emulated stack read.
-    pub(crate) fn path_from(self, outer: &[&'static str]) -> Vec<&'static str> {
-        let mut path = Vec::with_capacity(self.max_path_depth().max(outer.len()));
-        path.extend_from_slice(outer);
-        path
     }
 
     /// A frame that appears when a task is caught inside a timing call

@@ -56,12 +56,12 @@ impl Application for AllEquivalentApp {
         self.vocab.dictionary_hints()
     }
 
-    fn call_path(&self, _rank: u64, _thread: u32, _sample: u32) -> Vec<&'static str> {
+    fn call_path(&self, _rank: u64, _thread: u32, _sample: u32, path: &mut Vec<&'static str>) {
         let v = self.vocab;
-        let mut path = v.path_from(&[v.start(), v.main(), v.barrier()]);
+        path.clear();
+        path.extend_from_slice(&[v.start(), v.main(), v.barrier()]);
         path.extend_from_slice(v.barrier_impl());
         path.extend_from_slice(v.progress_impl());
-        path
     }
 }
 
@@ -101,12 +101,13 @@ impl Application for ComputeSpreadApp {
         self.vocab.dictionary_hints()
     }
 
-    fn call_path(&self, rank: u64, _thread: u32, sample: u32) -> Vec<&'static str> {
+    fn call_path(&self, rank: u64, _thread: u32, sample: u32, path: &mut Vec<&'static str>) {
         let v = self.vocab;
         let kernels = v.compute_kernels();
         let class = (rank % self.classes as u64) as usize;
         let kernel = kernels[class % kernels.len()];
-        let mut path = v.path_from(&[v.start(), v.main(), "timestep_loop", kernel]);
+        path.clear();
+        path.extend_from_slice(&[v.start(), v.main(), "timestep_loop", kernel]);
         // Alternate between the kernel body and a nested helper over time so the 3D
         // tree has temporal structure too.
         if sample % 2 == 1 {
@@ -116,7 +117,6 @@ impl Application for ComputeSpreadApp {
         if class >= kernels.len() {
             path.push("phase_extra");
         }
-        path
     }
 }
 
@@ -176,9 +176,10 @@ impl Application for DeadlockPairApp {
         self.vocab.dictionary_hints()
     }
 
-    fn call_path(&self, rank: u64, _thread: u32, sample: u32) -> Vec<&'static str> {
+    fn call_path(&self, rank: u64, _thread: u32, sample: u32, path: &mut Vec<&'static str>) {
         let v = self.vocab;
-        let mut path = v.path_from(&[v.start(), v.main()]);
+        path.clear();
+        path.extend_from_slice(&[v.start(), v.main()]);
         if self.truth.is_faulty(rank) {
             path.push("exchange_halo");
             path.push("PMPI_Recv");
@@ -190,7 +191,6 @@ impl Application for DeadlockPairApp {
                 path.extend_from_slice(v.progress_impl());
             }
         }
-        path
     }
 }
 
@@ -229,18 +229,18 @@ impl Application for ThreadedApp {
         self.vocab.dictionary_hints()
     }
 
-    fn call_path(&self, rank: u64, thread: u32, sample: u32) -> Vec<&'static str> {
+    fn call_path(&self, rank: u64, thread: u32, sample: u32, path: &mut Vec<&'static str>) {
         let v = self.vocab;
+        path.clear();
         if thread == 0 {
             // The MPI thread behaves like the all-equivalent app.
-            let mut path = v.path_from(&[v.start(), v.main(), v.barrier()]);
+            path.extend_from_slice(&[v.start(), v.main(), v.barrier()]);
             path.extend_from_slice(v.barrier_impl());
-            path
         } else {
             // Worker threads split between two OpenMP-style regions; which region a
             // worker is in depends on rank, thread and time, so threads genuinely
             // multiply the distinct traces the tool must manage.
-            let mut path = v.path_from(&[v.start()]);
+            path.push(v.start());
             path.extend_from_slice(v.thread_entry());
             let region = (rank as u32 + thread + sample) % 2;
             if region == 0 {
@@ -250,7 +250,6 @@ impl Application for ThreadedApp {
                 path.push("omp_region_b");
                 path.push("halo_pack");
             }
-            path
         }
     }
 }
@@ -319,9 +318,10 @@ impl Application for IoStormApp {
         self.vocab.dictionary_hints()
     }
 
-    fn call_path(&self, rank: u64, _thread: u32, sample: u32) -> Vec<&'static str> {
+    fn call_path(&self, rank: u64, _thread: u32, sample: u32, path: &mut Vec<&'static str>) {
         let v = self.vocab;
-        let mut path = v.path_from(&[v.start(), v.main(), "open_restart_file"]);
+        path.clear();
+        path.extend_from_slice(&[v.start(), v.main(), "open_restart_file"]);
         if self.truth.is_faulty(rank) {
             path.extend_from_slice(v.shared_fs_open_impl());
             if sample.is_multiple_of(2) {
@@ -331,7 +331,6 @@ impl Application for IoStormApp {
             path.push(v.barrier());
             path.extend_from_slice(v.barrier_impl());
         }
-        path
     }
 }
 
@@ -381,9 +380,10 @@ impl Application for OsNoiseApp {
         self.vocab.dictionary_hints()
     }
 
-    fn call_path(&self, rank: u64, _thread: u32, sample: u32) -> Vec<&'static str> {
+    fn call_path(&self, rank: u64, _thread: u32, sample: u32, path: &mut Vec<&'static str>) {
         let v = self.vocab;
-        let mut path = v.path_from(&[
+        path.clear();
+        path.extend_from_slice(&[
             v.start(),
             v.main(),
             "timestep_loop",
@@ -395,7 +395,6 @@ impl Application for OsNoiseApp {
             let noise = v.noise_frames();
             path.push(noise[((h >> 8) % noise.len() as u64) as usize]);
         }
-        path
     }
 }
 
@@ -452,9 +451,10 @@ impl Application for CollectiveMismatchApp {
         self.vocab.dictionary_hints()
     }
 
-    fn call_path(&self, rank: u64, _thread: u32, _sample: u32) -> Vec<&'static str> {
+    fn call_path(&self, rank: u64, _thread: u32, _sample: u32, path: &mut Vec<&'static str>) {
         let v = self.vocab;
-        let mut path = v.path_from(&[v.start(), v.main(), "solve_timestep"]);
+        path.clear();
+        path.extend_from_slice(&[v.start(), v.main(), "solve_timestep"]);
         if self.truth.is_faulty(rank) {
             path.push("PMPI_Reduce");
         } else {
@@ -462,7 +462,6 @@ impl Application for CollectiveMismatchApp {
             path.push("MPIR_Allreduce_impl");
         }
         path.extend_from_slice(v.progress_impl());
-        path
     }
 }
 
@@ -531,16 +530,16 @@ impl Application for CorruptedStackApp {
         self.vocab.dictionary_hints()
     }
 
-    fn call_path(&self, rank: u64, _thread: u32, sample: u32) -> Vec<&'static str> {
+    fn call_path(&self, rank: u64, _thread: u32, sample: u32, path: &mut Vec<&'static str>) {
         let v = self.vocab;
+        path.clear();
         if self.truth.is_faulty(rank) {
             let garbage = v.garbage_frames();
             let pick = (mix(rank, sample) % garbage.len() as u64) as usize;
-            v.path_from(&[v.unknown_frame(), garbage[pick]])
+            path.extend_from_slice(&[v.unknown_frame(), garbage[pick]]);
         } else {
-            let mut path = v.path_from(&[v.start(), v.main(), v.barrier()]);
+            path.extend_from_slice(&[v.start(), v.main(), v.barrier()]);
             path.extend_from_slice(v.barrier_impl());
-            path
         }
     }
 }
@@ -666,9 +665,10 @@ impl Application for RandomFaultApp {
         self.vocab.dictionary_hints()
     }
 
-    fn call_path(&self, rank: u64, _thread: u32, sample: u32) -> Vec<&'static str> {
+    fn call_path(&self, rank: u64, _thread: u32, sample: u32, path: &mut Vec<&'static str>) {
         let v = self.vocab;
-        let mut path = v.path_from(&[v.start(), v.main()]);
+        path.clear();
+        path.extend_from_slice(&[v.start(), v.main()]);
         if self.truth.is_faulty(rank) {
             match self.flavor {
                 RandomFaultFlavor::SendStall => {
@@ -698,7 +698,6 @@ impl Application for RandomFaultApp {
                 path.extend_from_slice(v.progress_impl());
             }
         }
-        path
     }
 }
 
@@ -759,8 +758,9 @@ mod tests {
     #[test]
     fn worker_threads_have_distinct_stacks_from_the_mpi_thread() {
         let app = ThreadedApp::new(4, 2, FrameVocabulary::BlueGeneL);
-        let mpi = app.call_path(0, 0, 0);
-        let worker = app.call_path(0, 1, 0);
+        let (mut mpi, mut worker) = (Vec::new(), Vec::new());
+        app.call_path(0, 0, 0, &mut mpi);
+        app.call_path(0, 1, 0, &mut worker);
         assert!(mpi.contains(&"PMPI_Barrier"));
         assert!(!worker.contains(&"PMPI_Barrier"));
         assert!(worker.contains(&"worker_main"));

@@ -6,6 +6,13 @@
 //! and 3D prefix trees, and hand the serialised trees (plus its local rank list) to
 //! the overlay network.  Everything global happens in the filters above it.
 //!
+//! Gathering and folding are one pass ([`StatDaemon::sample_trees`]): each
+//! stack is read into one reused path buffer, walked into the walker's reused
+//! id buffer and inserted from there into the trees, so no per-trace path,
+//! trace or per-task sample series is ever built.  [`StatDaemon::gather`] and
+//! [`StatDaemon::build_trees`] keep the two halves apart for callers that want
+//! the samples themselves; they run the same walk and the same insert.
+//!
 //! The daemons are independent, as on the real machine, so a session runs them on
 //! every core of the front-end host through `on_every_core`: the attach path
 //! and every streaming wave share that one helper.
@@ -14,7 +21,7 @@ use std::num::NonZeroUsize;
 use std::sync::{Condvar, Mutex, PoisonError};
 
 use appsim::Application;
-use stackwalk::{FrameDictionary, FrameTable, TaskSamples};
+use stackwalk::{FrameDictionary, FrameTable, TaskSamples, Walker};
 use tbon::packet::{EndpointId, Packet, PacketTag};
 
 use crate::graph::PrefixTree;
@@ -44,9 +51,12 @@ pub struct DaemonContribution {
     pub rank_map: Packet,
     /// Number of traces gathered from local tasks.
     pub traces_gathered: u64,
-    /// Wall-clock time this daemon spent gathering stack traces.
+    /// Wall-clock time this daemon spent walking its tasks' stacks and inserting
+    /// each trace into its local trees — the two happen in one pass.
     pub sample_wall: std::time::Duration,
-    /// Wall-clock time this daemon spent building and serialising its local trees.
+    /// Wall-clock time this daemon spent serialising its local trees (in a
+    /// streaming wave, also diffing the wave against its cumulative tree and
+    /// folding it in).
     pub local_merge_wall: std::time::Duration,
 }
 
@@ -102,33 +112,89 @@ impl StatDaemon {
         &self,
         samples: &[TaskSamples],
     ) -> (PrefixTree<S>, PrefixTree<S>) {
-        let hierarchical = S::TAG == 1;
-        let width = if hierarchical {
-            self.local_tasks()
-        } else {
-            self.total_tasks
-        };
-        let mut tree_2d = PrefixTree::<S>::new(width, hierarchical);
-        let mut tree_3d = PrefixTree::<S>::new(width, hierarchical);
+        let (mut tree_2d, mut tree_3d) = self.empty_trees::<S>();
         for (local_pos, task) in samples.iter().enumerate() {
-            let index = if hierarchical {
-                local_pos as u64
-            } else {
-                task.rank
-            };
+            let index = Self::tree_index::<S>(local_pos, task.rank);
             tree_2d.add_first_sample(task, index);
             tree_3d.add_samples(task, index);
         }
         (tree_2d, tree_3d)
     }
 
+    /// Walk `samples` traces from each local task of `app`, from sample index
+    /// `base` on, straight into the locally merged 2D and 3D trees, and return
+    /// them with the number of traces taken.
+    ///
+    /// The trees, the frames interned into `table` and the trace count equal
+    /// those of [`Self::build_trees`] over [`Self::gather`] for an application
+    /// whose sample clock starts at `base`: the walk visits ranks, samples and
+    /// threads in the same order, the 3D tree takes every trace and the 2D tree
+    /// each task's first.
+    ///
+    /// An attach walks from sample 0.  A streaming wave `w` passes
+    /// `base = w * samples`, so a time-varying application (a straggler
+    /// drifting, a hang developing) shows each wave a later slice of its
+    /// behaviour rather than replaying sample 0 forever.
+    pub fn sample_trees<S: WireTaskSet>(
+        &self,
+        app: &dyn Application,
+        base: u32,
+        samples: u32,
+        table: &mut FrameTable,
+    ) -> (PrefixTree<S>, PrefixTree<S>, u64) {
+        let (mut tree_2d, mut tree_3d) = self.empty_trees::<S>();
+        let mut walker = Walker::new();
+        let mut path = Vec::new();
+        let threads = app.threads_per_task();
+        for (local_pos, &rank) in self.ranks.iter().enumerate() {
+            let index = Self::tree_index::<S>(local_pos, rank);
+            for sample in base..base.saturating_add(samples) {
+                for thread in 0..threads {
+                    app.call_path(rank, thread, sample, &mut path);
+                    let frames = walker.walk_ids(table, &path);
+                    tree_3d.add_path(frames, index);
+                    if sample == base && thread == 0 {
+                        tree_2d.add_path(frames, index);
+                    }
+                }
+            }
+        }
+        (tree_2d, tree_3d, walker.traces_taken())
+    }
+
+    /// Empty local 2D and 3D trees over this daemon's task domain: job-wide for
+    /// the global representation, this daemon's task list for the hierarchical.
+    fn empty_trees<S: WireTaskSet>(&self) -> (PrefixTree<S>, PrefixTree<S>) {
+        let hierarchical = S::TAG == 1;
+        let width = if hierarchical {
+            self.local_tasks()
+        } else {
+            self.total_tasks
+        };
+        (
+            PrefixTree::<S>::new(width, hierarchical),
+            PrefixTree::<S>::new(width, hierarchical),
+        )
+    }
+
+    /// The index a task's traces carry in the local trees: its local position
+    /// under the hierarchical representation, its MPI rank under the global one.
+    fn tree_index<S: WireTaskSet>(local_pos: usize, rank: u64) -> u64 {
+        if S::TAG == 1 {
+            local_pos as u64
+        } else {
+            rank
+        }
+    }
+
     /// Run one full gather-and-merge cycle and package the results for the TBON.
     ///
-    /// The two daemon-local phases — sampling the application and building the local
-    /// trees — are timed separately so the session can report the pipeline breakdown
-    /// the paper measures.  `dict` is the session's negotiated frame dictionary:
-    /// the daemon still symbolises into its own local [`FrameTable`], but the v2
-    /// encoder relabels every frame to its session-global id on the way out.
+    /// The two daemon-local phases — walking the stacks into the local trees, and
+    /// serialising them — are timed separately so the session can report the
+    /// pipeline breakdown the paper measures.  `dict` is the session's negotiated
+    /// frame dictionary: the daemon still symbolises into its own local
+    /// [`FrameTable`], but the v2 encoder relabels every frame to its
+    /// session-global id on the way out.
     pub fn contribute<S: WireTaskSet>(
         &self,
         app: &dyn Application,
@@ -150,12 +216,9 @@ impl StatDaemon {
     ) -> DaemonContribution {
         let mut table = FrameTable::new();
         let sample_start = std::time::Instant::now();
-        let gathered = self.gather(app, samples, &mut table);
+        let (tree_2d, tree_3d, traces) = self.sample_trees::<S>(app, 0, samples, &mut table);
         let sample_wall = sample_start.elapsed();
-        let traces: u64 = gathered.iter().map(|t| t.sample_count() as u64).sum();
         let merge_start = std::time::Instant::now();
-        let (tree_2d, tree_3d) = self.build_trees::<S>(&gathered);
-        drop(gathered);
         turn.before_encoding(&table, dict);
         DaemonContribution {
             daemon_id: self.id,
@@ -417,15 +480,15 @@ mod tests {
         fn num_tasks(&self) -> u64 {
             96
         }
-        fn call_path(&self, rank: u64, _thread: u32, sample: u32) -> Vec<&'static str> {
+        fn call_path(&self, rank: u64, _thread: u32, sample: u32, path: &mut Vec<&'static str>) {
             const BLOCKS: [&str; 6] = [
                 "block_a", "block_b", "block_c", "block_d", "block_e", "block_f",
             ];
             let block = BLOCKS[(rank / 16) as usize % BLOCKS.len()];
-            if sample.is_multiple_of(2) {
-                vec!["_start", "main", block]
-            } else {
-                vec!["_start", "main", block, "poll"]
+            path.clear();
+            path.extend_from_slice(&["_start", "main", block]);
+            if !sample.is_multiple_of(2) {
+                path.push("poll");
             }
         }
     }

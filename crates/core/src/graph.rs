@@ -22,8 +22,8 @@
 //! clones a tree, and the accumulated tree widens in place, so peak memory stays
 //! proportional to one input wave.  Callers that must keep the source use
 //! [`PrefixTree::merge_ref`].  Child lookup is a tree-wide `(parent, frame)` hash
-//! (an O(1) probe, not a sibling scan — `add_trace`, `merge` and packet decode all
-//! go through it).  [`PrefixTree::add_trace`] probes only past the prefix a trace
+//! (an O(1) probe, not a sibling scan — `add_path`, `merge` and packet decode all
+//! go through it).  [`PrefixTree::add_path`] probes only past the prefix a trace
 //! shares with the previously inserted one: the tree keeps that trace's node path
 //! as a cursor.  The arena is append-only and a `(parent, frame)` edge never changes
 //! once made, so the cursor stays a valid path across later inserts, merges (which
@@ -255,6 +255,13 @@ impl<S: TaskSetOps> PrefixTree<S> {
 
     /// Add one stack trace observed from task position `index` (a global rank for
     /// global trees, a subtree-local position for subtree trees).
+    pub fn add_trace(&mut self, trace: &StackTrace, index: u64) {
+        self.add_path(trace.frames(), index);
+    }
+
+    /// Add one call path of frame ids (outermost first) observed from task
+    /// position `index` — what [`PrefixTree::add_trace`] does, without a trace
+    /// object, so a daemon can insert the ids its walker lends it.
     ///
     /// The tree keeps the node path of the last inserted trace as a cursor.
     /// While the trace's frames match the cursor nodes' frames, those nodes are
@@ -264,10 +271,9 @@ impl<S: TaskSetOps> PrefixTree<S> {
     /// that frame, and a `(parent, frame)` pair has one child, so it is the node
     /// the probe would have returned: the tree, its node order and its task sets
     /// equal a probe-every-frame insertion.
-    pub fn add_trace(&mut self, trace: &StackTrace, index: u64) {
+    pub fn add_path(&mut self, frames: &[FrameId], index: u64) {
         let root = self.root();
         self.entry_mut(root).tasks.insert(index);
-        let frames = trace.frames();
         let mut cursor = std::mem::take(&mut self.cursor);
         let shared = cursor
             .iter()

@@ -47,12 +47,14 @@ use crate::serialize::encode_dictionary;
 /// how a [`SessionReport`] exposes that.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseTimings {
-    /// Gathering stack traces from the application tasks, summed over daemons.
-    /// The daemons run concurrently on every core, so this is summed work, not
-    /// the wall time the phase took.
+    /// Walking the application tasks' stacks and inserting each trace into the
+    /// daemon-local 2D and 3D prefix trees — one fused pass — summed over
+    /// daemons.  The daemons run concurrently on every core, so this is summed
+    /// work, not the wall time the phase took.
     pub sample: Duration,
-    /// Building and serialising the daemon-local prefix trees, summed over
-    /// daemons — summed work, like [`Self::sample`].
+    /// Serialising the daemon-local prefix trees (in a streaming wave, also
+    /// diffing each daemon's wave tree against its cumulative tree and folding
+    /// it in), summed over daemons — summed work, like [`Self::sample`].
     pub local_merge: Duration,
     /// The single multi-channel TBON reduction walk.
     pub reduce: Duration,

@@ -40,7 +40,7 @@ use std::marker::PhantomData;
 use std::time::{Duration, Instant};
 
 use appsim::scenario::{Diagnosis, OverlayFault, Verdict};
-use appsim::{gather_samples_for_ranks_from, Application, WaveSource};
+use appsim::{Application, WaveSource};
 use stackwalk::{FrameDictionary, FrameTable};
 use tbon::delta::{IncrementalTbon, ResidentState, StateFactory};
 use tbon::fault::FaultTracker;
@@ -173,8 +173,9 @@ struct DaemonWave {
 }
 
 impl<S: WireTaskSet> DaemonStream<S> {
-    /// One daemon's share of a wave: sample at the global sample clock, build
-    /// and encode the wave trees, and fold the wave into the cumulative tree.
+    /// One daemon's share of a wave: walk the stacks at the global sample clock
+    /// straight into the wave trees, encode them, and fold the wave into the
+    /// cumulative tree.
     fn gather_wave(
         &mut self,
         app: &dyn Application,
@@ -185,14 +186,12 @@ impl<S: WireTaskSet> DaemonStream<S> {
         turn: &Turn<'_>,
     ) -> DaemonWave {
         let sample_start = Instant::now();
-        let gathered =
-            gather_samples_for_ranks_from(app, &self.daemon.ranks, base, samples, &mut self.table);
+        let (wave_2d, wave_3d, traces) =
+            self.daemon
+                .sample_trees::<S>(app, base, samples, &mut self.table);
         let sample_wall = sample_start.elapsed();
-        let traces: u64 = gathered.iter().map(|t| t.sample_count() as u64).sum();
 
         let merge_start = Instant::now();
-        let (wave_2d, wave_3d) = self.daemon.build_trees::<S>(&gathered);
-        drop(gathered);
         turn.before_encoding(&self.table, dict);
         let bytes_2d = encode_tree(&wave_2d, &self.table, dict);
         let bytes_3d = encode_tree(&wave_3d, &self.table, dict);

@@ -55,18 +55,27 @@ impl Walker {
 
     /// Walk one call path (outermost frame first) into a trace.
     pub fn walk(&mut self, table: &mut FrameTable, call_path: &[&str]) -> StackTrace {
+        StackTrace::new(self.walk_ids(table, call_path).to_vec())
+    }
+
+    /// Walk one call path (outermost frame first) and borrow its frame ids.
+    ///
+    /// The walker's kept ids are updated in place to this path's, so a daemon
+    /// that inserts each trace straight into its trees allocates nothing per
+    /// trace.  The ids, the table and the counters are those [`Walker::walk`]
+    /// produces, because `walk` is this walk plus a copy.
+    pub fn walk_ids(&mut self, table: &mut FrameTable, call_path: &[&str]) -> &[FrameId] {
         self.traces_taken += 1;
         self.frames_walked += call_path.len() as u64;
-        let mut frames = Vec::with_capacity(call_path.len());
+        self.previous.truncate(call_path.len());
         for (i, &name) in call_path.iter().enumerate() {
-            let id = match self.previous.get(i) {
-                Some(&id) if table.get(id) == Some(name) => id,
-                _ => table.intern(name),
-            };
-            frames.push(id);
+            match self.previous.get_mut(i) {
+                Some(id) if table.get(*id) == Some(name) => {}
+                Some(id) => *id = table.intern(name),
+                None => self.previous.push(table.intern(name)),
+            }
         }
-        self.previous.clone_from(&frames);
-        StackTrace::new(frames)
+        &self.previous
     }
 
     /// Total frames walked so far.
@@ -248,31 +257,33 @@ impl SamplingCostModel {
         // ---- Phase 1: symbol-table parsing, with file-server queueing. ----
         let working_set = self.effective_working_set(placement);
         let mut sim = Simulation::new(seed);
+        // One server resource per file-system kind, registered in working-set
+        // order; each image keeps the id of the server it is read from.
         let mut resources: Vec<(FileSystemKind, simkit::resource::ResourceId)> = Vec::new();
-        for (_, kind) in &working_set {
-            if !resources.iter().any(|(k, _)| k == kind) {
-                let fs = FileSystem::of_kind(*kind);
-                let id = sim.add_resource(fs.server_resource());
-                resources.push((*kind, id));
-            }
+        let mut served = Vec::with_capacity(working_set.len());
+        for (img, kind) in &working_set {
+            let resource = match resources.iter().find(|(k, _)| k == kind) {
+                Some(&(_, id)) => id,
+                None => {
+                    let id = sim.add_resource(FileSystem::of_kind(*kind).server_resource());
+                    resources.push((*kind, id));
+                    id
+                }
+            };
+            served.push((img, *kind, resource));
         }
         for daemon in 0..daemons {
             // Daemons do not all arrive at the same nanosecond: stagger arrivals a
             // little so the queue build-up is realistic rather than degenerate.
             let arrival = SimTime::from_millis(rng.uniform(0.0, 5.0));
-            for (img, kind) in &working_set {
-                let fs = FileSystem::of_kind(*kind);
+            for &(img, kind, resource) in &served {
+                let fs = FileSystem::of_kind(kind);
                 let read_bytes = (img.bytes as f64 * cfg.symtab_read_fraction).round() as u64;
                 let mut service =
                     fs.server_service_time(FileAccessKind::SymbolTableParse, read_bytes);
                 if kind.is_shared() {
                     service = service.mul_f64(server_load);
                 }
-                let resource = resources
-                    .iter()
-                    .find(|(k, _)| k == kind)
-                    .map(|(_, id)| *id)
-                    .expect("resource registered above");
                 sim.schedule(arrival, Event::request(resource, daemon as u64, service));
             }
         }

@@ -149,10 +149,10 @@ impl Application for SyntheticApp {
         hints
     }
 
-    fn call_path(&self, rank: u64, _thread: u32, sample_index: u32) -> Vec<&'static str> {
+    fn call_path(&self, rank: u64, _thread: u32, sample_index: u32, path: &mut Vec<&'static str>) {
         let shape = self.shape;
         let class = self.class_of(rank);
-        let mut path = Vec::with_capacity(shape.depth as usize);
+        path.clear();
         // Shared spine.
         for level in 0..shape.divergence_depth {
             path.push(Self::frame_name("spine", level, 0));
@@ -170,7 +170,6 @@ impl Application for SyntheticApp {
                 path.push(Self::frame_name("poll", k, 0));
             }
         }
-        path
     }
 }
 

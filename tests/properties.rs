@@ -5,9 +5,12 @@
 use proptest::prelude::*;
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
+use appsim::{catalogue, Application, FrameVocabulary, ThreadedApp};
 use stackwalk::{FrameId, FrameTable, StackTrace, Walker};
 use stat_core::prelude::*;
+use stat_core::serialize::WireTaskSet;
 use tbon::topology::{Topology, TreeShape};
 
 // ---------------------------------------------------------------------------------
@@ -661,6 +664,154 @@ proptest! {
         }
         let order: Vec<Vec<FrameId>> = (0..plain.node_count()).map(|n| plain.path_to(n)).collect();
         prop_assert_eq!(order, first_seen);
+    }
+}
+
+// ---------------------------------------------------------------------------------
+// Fused daemon sampling
+// ---------------------------------------------------------------------------------
+
+/// An application whose sample clock starts at `base`: `StatDaemon::gather`
+/// always samples from index 0, so gathering from this is the oracle for a
+/// fused walk that starts at `base`.
+struct ClockShifted<'a> {
+    inner: &'a dyn Application,
+    base: u32,
+}
+
+impl Application for ClockShifted<'_> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn num_tasks(&self) -> u64 {
+        self.inner.num_tasks()
+    }
+    fn threads_per_task(&self) -> u32 {
+        self.inner.threads_per_task()
+    }
+    fn call_path(&self, rank: u64, thread: u32, sample: u32, path: &mut Vec<&'static str>) {
+        self.inner.call_path(rank, thread, sample + self.base, path);
+    }
+    fn frame_hints(&self) -> Vec<&'static str> {
+        self.inner.frame_hints()
+    }
+}
+
+/// Every fault-catalogue workload plus a multithreaded one, over `vocab`.
+fn sampling_apps(tasks: u64, vocab: FrameVocabulary) -> Vec<Arc<dyn Application>> {
+    let mut apps: Vec<Arc<dyn Application>> =
+        catalogue(tasks, vocab).into_iter().map(|s| s.app).collect();
+    apps.push(Arc::new(ThreadedApp::new(tasks, 3, vocab)));
+    apps
+}
+
+/// Every node of a tree as `(frame, parent, members)`, in node order.
+type NodeRows = Vec<(Option<FrameId>, Option<usize>, Vec<u64>)>;
+
+fn node_rows<S: TaskSetOps>(tree: &PrefixTree<S>) -> NodeRows {
+    (0..tree.node_count())
+        .map(|n| (tree.frame(n), tree.parent(n), tree.tasks(n).members()))
+        .collect()
+}
+
+/// The fused walk-and-insert of `daemon` over `app` from sample `base` equals
+/// `build_trees` over `gather` of the clock-shifted app: the same nodes, frame
+/// table, trace count and encoded packets.  `hinted` encodes against the app's
+/// negotiated dictionary, otherwise against an empty one, so every frame is
+/// unhinted and ships as an incremental dictionary record.
+fn fused_sampling_matches_gather_then_build<S: WireTaskSet>(
+    app: &dyn Application,
+    daemon: &StatDaemon,
+    base: u32,
+    samples: u32,
+    hinted: bool,
+) {
+    let mut fused_table = FrameTable::new();
+    let (fused_2d, fused_3d, traces) =
+        daemon.sample_trees::<S>(app, base, samples, &mut fused_table);
+
+    let mut table = FrameTable::new();
+    let gathered = daemon.gather(&ClockShifted { inner: app, base }, samples, &mut table);
+    let (oracle_2d, oracle_3d) = daemon.build_trees::<S>(&gathered);
+
+    let oracle_traces: usize = gathered.iter().map(|t| t.sample_count()).sum();
+    assert_eq!(traces, oracle_traces as u64);
+    assert_eq!(
+        fused_table.names().collect::<Vec<_>>(),
+        table.names().collect::<Vec<_>>()
+    );
+    let hints = if hinted {
+        app.frame_hints()
+    } else {
+        Vec::new()
+    };
+    for (fused, oracle) in [(&fused_2d, &oracle_2d), (&fused_3d, &oracle_3d)] {
+        assert_eq!(node_rows(fused), node_rows(oracle));
+        let fused_dict = FrameDictionary::negotiate(hints.iter().copied());
+        let oracle_dict = FrameDictionary::negotiate(hints.iter().copied());
+        assert_eq!(
+            encode_tree(fused, &fused_table, &fused_dict),
+            encode_tree(oracle, &table, &oracle_dict)
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn fused_sampling_matches_gather_then_build_trees(
+        bgl in 0u8..2,
+        pick in 0usize..64,
+        first in 0u64..64,
+        len in 0u64..40,
+        base in 0u32..40,
+        samples in 1u32..=4,
+        hinted in 0u8..2,
+    ) {
+        let tasks = 64;
+        let vocab = if bgl == 1 { FrameVocabulary::BlueGeneL } else { FrameVocabulary::Linux };
+        let apps = sampling_apps(tasks, vocab);
+        let app = apps[pick % apps.len()].as_ref();
+        let ranks: Vec<u64> = (first..(first + len).min(tasks)).collect();
+        let daemon = StatDaemon::new(3, ranks, tasks);
+        fused_sampling_matches_gather_then_build::<DenseBitVector>(
+            app, &daemon, base, samples, hinted == 1,
+        );
+        fused_sampling_matches_gather_then_build::<SubtreeTaskList>(
+            app, &daemon, base, samples, hinted == 1,
+        );
+    }
+
+    #[test]
+    fn borrowing_walk_matches_walk(
+        walks in prop::collection::vec((0usize..2, prefix_heavy_path()), 1..40),
+    ) {
+        // Two walkers over the same sequence, each across two tables in turn
+        // (the second seeded in another id order): one copies every trace out,
+        // the other only borrows the ids.
+        let mut copying = Walker::new();
+        let mut borrowing = Walker::new();
+        let mut copy_tables = [FrameTable::new(), FrameTable::new()];
+        let mut borrow_tables = [FrameTable::new(), FrameTable::new()];
+        for name in [FRAME_POOL[3], FRAME_POOL[2]] {
+            copy_tables[1].intern(name);
+            borrow_tables[1].intern(name);
+        }
+        for (which, path) in &walks {
+            let names: Vec<&str> = path.iter().map(|&f| FRAME_POOL[f]).collect();
+            let trace = copying.walk(&mut copy_tables[*which], &names);
+            let ids = borrowing.walk_ids(&mut borrow_tables[*which], &names);
+            prop_assert_eq!(trace.frames(), ids);
+        }
+        for (copied, borrowed) in copy_tables.iter().zip(&borrow_tables) {
+            prop_assert_eq!(
+                copied.names().collect::<Vec<_>>(),
+                borrowed.names().collect::<Vec<_>>()
+            );
+        }
+        prop_assert_eq!(copying.traces_taken(), borrowing.traces_taken());
+        prop_assert_eq!(copying.frames_walked(), borrowing.frames_walked());
     }
 }
 
